@@ -1,14 +1,20 @@
 GO ?= go
 
-.PHONY: check ci fmt vet build test test-race bench bench-json bench-smoke bench-diff wcetlab warmstore smoke
+.PHONY: check ci fmt vet build test test-race bench bench-json bench-smoke bench-diff bench-gate wcetlab warmstore smoke
 
 # Tier-1 verification plus formatting/lint gates.
 check: fmt vet build test
 
 # What .github/workflows/ci.yml runs: check with the race detector on,
-# plus the single-iteration benchmark smoke (validated JSON), the
-# warm-store determinism check and the serve smoke test.
-ci: fmt vet build test-race bench-smoke warmstore smoke
+# plus the wcetbench gate's own tests, the single-iteration benchmark
+# smoke (validated JSON), the warm-store determinism check and the serve
+# smoke test.
+ci: fmt vet build test-race bench-gate bench-smoke warmstore smoke
+
+# wcetbench is a module of its own, so the root vet and test never reach
+# it: vet it and run its result gate's tests from inside.
+bench-gate:
+	cd wcetbench && $(GO) vet ./... && $(GO) test ./...
 
 # The CI benchmark gate: one pass over every benchmark, output validated
 # by cmd/jsoncheck against the BENCH_local.json schema.

@@ -1,6 +1,9 @@
 package arm
 
-import "fmt"
+import (
+	"fmt"
+	"math/bits"
+)
 
 // Bus is the memory system seen by the CPU. Every access reports the number
 // of cycles it consumed, which is how the memory hierarchy (main-memory
@@ -27,6 +30,22 @@ const (
 	CyclesSwi = 2
 )
 
+// memoSize is the number of decode-memo entries, enough for 4 KiB of code
+// before two fetch addresses share a slot. An 8× larger memo simulated
+// the Table 2 programs no faster.
+const memoSize = 2048
+
+// memoHit marks a filled decode-memo entry; an entry's tag is the fetched
+// halfword with this bit set, so the zero entry never matches.
+const memoHit = 1 << 16
+
+// memoEntry caches the decoding of the halfword last fetched at the
+// addresses that share its slot.
+type memoEntry struct {
+	tag uint32
+	in  Instr
+}
+
 // CPU is an ARM7TDMI executing THUMB code. The zero value is not usable;
 // construct with NewCPU.
 type CPU struct {
@@ -42,6 +61,12 @@ type CPU struct {
 	// SWI handles software interrupts. The default handler halts on
 	// SWI 0 (exit) and reports an error otherwise.
 	SWI func(c *CPU, num uint8) error
+
+	// memo maps a fetch address's slot to the decoding of the halfword
+	// last fetched there. An entry is used only when its tag equals the
+	// halfword just fetched, so the memo is exact even for code written at
+	// run time: a changed halfword misses and is decoded afresh.
+	memo [memoSize]memoEntry
 }
 
 // NewCPU returns a CPU attached to bus with PC at entry, SP at stackTop and
@@ -70,6 +95,68 @@ type Err struct {
 func (e *Err) Error() string { return fmt.Sprintf("arm: at pc=%#x: %v", e.Addr, e.Wrap) }
 func (e *Err) Unwrap() error { return e.Wrap }
 
+// decode returns the decoding of hw, fetched at addr, through the memo.
+func (c *CPU) decode(addr uint32, hw uint16) *Instr {
+	e := &c.memo[addr>>1&(memoSize-1)]
+	if e.tag != uint32(hw)|memoHit {
+		e.in = Decode(hw)
+		e.tag = uint32(hw) | memoHit
+	}
+	return &e.in
+}
+
+// setNZ sets the N and Z flags from a result.
+func (c *CPU) setNZ(v uint32) {
+	c.N = v&(1<<31) != 0
+	c.Z = v == 0
+}
+
+// adc computes a + b + carry and sets all four flags.
+func (c *CPU) adc(a, b uint32, carry bool) uint32 {
+	var cin uint32
+	if carry {
+		cin = 1
+	}
+	r64 := uint64(a) + uint64(b) + uint64(cin)
+	r := uint32(r64)
+	c.N = r&(1<<31) != 0
+	c.Z = r == 0
+	c.C = r64 > 0xFFFFFFFF
+	c.V = (a^r)&(b^r)&(1<<31) != 0
+	return r
+}
+
+// sbc computes a - b - !carry and sets all four flags.
+func (c *CPU) sbc(a, b uint32, carry bool) uint32 { return c.adc(a, ^b, carry) }
+
+// load performs a data read of size bytes (1, 2 or 4) for the instruction
+// at pc and charges its cycles.
+func (c *CPU) load(pc, addr uint32, size uint8) (uint32, error) {
+	if addr&(uint32(size)-1) != 0 {
+		return 0, &Err{pc, fmt.Errorf("misaligned %d-byte load at %#x", size, addr)}
+	}
+	v, cyc, err := c.Bus.Read(addr, size, false)
+	if err != nil {
+		return 0, &Err{pc, err}
+	}
+	c.Cycles += uint64(cyc)
+	return v, nil
+}
+
+// store performs a data write of size bytes (1, 2 or 4) for the
+// instruction at pc and charges its cycles.
+func (c *CPU) store(pc, addr uint32, size uint8, v uint32) error {
+	if addr&(uint32(size)-1) != 0 {
+		return &Err{pc, fmt.Errorf("misaligned %d-byte store at %#x", size, addr)}
+	}
+	cyc, err := c.Bus.Write(addr, size, v)
+	if err != nil {
+		return &Err{pc, err}
+	}
+	c.Cycles += uint64(cyc)
+	return nil
+}
+
 // Step fetches, decodes and executes one instruction, advancing Cycles by
 // the memory cost of every access plus the instruction's internal cycles.
 func (c *CPU) Step() error {
@@ -85,57 +172,12 @@ func (c *CPU) Step() error {
 		return &Err{instrAddr, fmt.Errorf("fetch: %w", err)}
 	}
 	c.Cycles += uint64(cyc)
-	in := Decode(uint16(hw))
+	in := c.decode(instrAddr, uint16(hw))
 	c.R[PC] = instrAddr + 4 // PC reads as instruction address + 4
+	// A taken branch sets nextPC to its target with bit 0 cleared and sets
+	// branched, which charges the pipeline refill.
 	nextPC := instrAddr + 2
 	branched := false
-
-	branchTo := func(target uint32) {
-		nextPC = target &^ 1
-		branched = true
-	}
-
-	setNZ := func(v uint32) {
-		c.N = v&(1<<31) != 0
-		c.Z = v == 0
-	}
-	// adc computes a + b + carry and sets all four flags.
-	adc := func(a, b uint32, carry bool) uint32 {
-		var cin uint32
-		if carry {
-			cin = 1
-		}
-		r64 := uint64(a) + uint64(b) + uint64(cin)
-		r := uint32(r64)
-		setNZ(r)
-		c.C = r64 > 0xFFFFFFFF
-		c.V = (a^r)&(b^r)&(1<<31) != 0
-		return r
-	}
-	sbc := func(a, b uint32, carry bool) uint32 { return adc(a, ^b, carry) }
-
-	load := func(addr uint32, size uint8) (uint32, error) {
-		if addr%uint32(size) != 0 {
-			return 0, &Err{instrAddr, fmt.Errorf("misaligned %d-byte load at %#x", size, addr)}
-		}
-		v, cyc, err := c.Bus.Read(addr, size, false)
-		if err != nil {
-			return 0, &Err{instrAddr, err}
-		}
-		c.Cycles += uint64(cyc)
-		return v, nil
-	}
-	store := func(addr uint32, size uint8, v uint32) error {
-		if addr%uint32(size) != 0 {
-			return &Err{instrAddr, fmt.Errorf("misaligned %d-byte store at %#x", size, addr)}
-		}
-		cyc, err := c.Bus.Write(addr, size, v)
-		if err != nil {
-			return &Err{instrAddr, err}
-		}
-		c.Cycles += uint64(cyc)
-		return nil
-	}
 
 	switch in.Op {
 	case OpLslImm:
@@ -145,7 +187,7 @@ func (c *CPU) Step() error {
 			v <<= uint(in.Imm)
 		}
 		c.R[in.Rd] = v
-		setNZ(v)
+		c.setNZ(v)
 	case OpLsrImm:
 		v := c.R[in.Rs]
 		sh := uint(in.Imm)
@@ -160,7 +202,7 @@ func (c *CPU) Step() error {
 			v >>= sh
 		}
 		c.R[in.Rd] = v
-		setNZ(v)
+		c.setNZ(v)
 	case OpAsrImm:
 		v := c.R[in.Rs]
 		sh := uint(in.Imm)
@@ -175,33 +217,33 @@ func (c *CPU) Step() error {
 			v = uint32(int32(v) >> sh)
 		}
 		c.R[in.Rd] = v
-		setNZ(v)
+		c.setNZ(v)
 
 	case OpAddReg:
-		c.R[in.Rd] = adc(c.R[in.Rs], c.R[in.Rn], false)
+		c.R[in.Rd] = c.adc(c.R[in.Rs], c.R[in.Rn], false)
 	case OpSubReg:
-		c.R[in.Rd] = sbc(c.R[in.Rs], c.R[in.Rn], true)
+		c.R[in.Rd] = c.sbc(c.R[in.Rs], c.R[in.Rn], true)
 	case OpAddImm3:
-		c.R[in.Rd] = adc(c.R[in.Rs], uint32(in.Imm), false)
+		c.R[in.Rd] = c.adc(c.R[in.Rs], uint32(in.Imm), false)
 	case OpSubImm3:
-		c.R[in.Rd] = sbc(c.R[in.Rs], uint32(in.Imm), true)
+		c.R[in.Rd] = c.sbc(c.R[in.Rs], uint32(in.Imm), true)
 
 	case OpMovImm:
 		c.R[in.Rd] = uint32(in.Imm)
-		setNZ(c.R[in.Rd])
+		c.setNZ(c.R[in.Rd])
 	case OpCmpImm:
-		sbc(c.R[in.Rd], uint32(in.Imm), true)
+		c.sbc(c.R[in.Rd], uint32(in.Imm), true)
 	case OpAddImm8:
-		c.R[in.Rd] = adc(c.R[in.Rd], uint32(in.Imm), false)
+		c.R[in.Rd] = c.adc(c.R[in.Rd], uint32(in.Imm), false)
 	case OpSubImm8:
-		c.R[in.Rd] = sbc(c.R[in.Rd], uint32(in.Imm), true)
+		c.R[in.Rd] = c.sbc(c.R[in.Rd], uint32(in.Imm), true)
 
 	case OpAnd:
 		c.R[in.Rd] &= c.R[in.Rs]
-		setNZ(c.R[in.Rd])
+		c.setNZ(c.R[in.Rd])
 	case OpEor:
 		c.R[in.Rd] ^= c.R[in.Rs]
-		setNZ(c.R[in.Rd])
+		c.setNZ(c.R[in.Rd])
 	case OpLslReg:
 		v, amt := c.R[in.Rd], c.R[in.Rs]&0xFF
 		switch {
@@ -217,7 +259,7 @@ func (c *CPU) Step() error {
 			v = 0
 		}
 		c.R[in.Rd] = v
-		setNZ(v)
+		c.setNZ(v)
 	case OpLsrReg:
 		v, amt := c.R[in.Rd], c.R[in.Rs]&0xFF
 		switch {
@@ -233,7 +275,7 @@ func (c *CPU) Step() error {
 			v = 0
 		}
 		c.R[in.Rd] = v
-		setNZ(v)
+		c.setNZ(v)
 	case OpAsrReg:
 		v, amt := c.R[in.Rd], c.R[in.Rs]&0xFF
 		switch {
@@ -246,11 +288,11 @@ func (c *CPU) Step() error {
 			v = uint32(int32(v) >> 31)
 		}
 		c.R[in.Rd] = v
-		setNZ(v)
+		c.setNZ(v)
 	case OpAdc:
-		c.R[in.Rd] = adc(c.R[in.Rd], c.R[in.Rs], c.C)
+		c.R[in.Rd] = c.adc(c.R[in.Rd], c.R[in.Rs], c.C)
 	case OpSbc:
-		c.R[in.Rd] = sbc(c.R[in.Rd], c.R[in.Rs], c.C)
+		c.R[in.Rd] = c.sbc(c.R[in.Rd], c.R[in.Rs], c.C)
 	case OpRor:
 		v, amt := c.R[in.Rd], c.R[in.Rs]&0xFF
 		if amt != 0 {
@@ -263,42 +305,42 @@ func (c *CPU) Step() error {
 			}
 		}
 		c.R[in.Rd] = v
-		setNZ(v)
+		c.setNZ(v)
 	case OpTst:
-		setNZ(c.R[in.Rd] & c.R[in.Rs])
+		c.setNZ(c.R[in.Rd] & c.R[in.Rs])
 	case OpNeg:
-		c.R[in.Rd] = sbc(0, c.R[in.Rs], true)
+		c.R[in.Rd] = c.sbc(0, c.R[in.Rs], true)
 	case OpCmpReg:
-		sbc(c.R[in.Rd], c.R[in.Rs], true)
+		c.sbc(c.R[in.Rd], c.R[in.Rs], true)
 	case OpCmn:
-		adc(c.R[in.Rd], c.R[in.Rs], false)
+		c.adc(c.R[in.Rd], c.R[in.Rs], false)
 	case OpOrr:
 		c.R[in.Rd] |= c.R[in.Rs]
-		setNZ(c.R[in.Rd])
+		c.setNZ(c.R[in.Rd])
 	case OpMul:
 		c.R[in.Rd] *= c.R[in.Rs]
-		setNZ(c.R[in.Rd])
+		c.setNZ(c.R[in.Rd])
 		c.Cycles += CyclesMul
 	case OpBic:
 		c.R[in.Rd] &^= c.R[in.Rs]
-		setNZ(c.R[in.Rd])
+		c.setNZ(c.R[in.Rd])
 	case OpMvn:
 		c.R[in.Rd] = ^c.R[in.Rs]
-		setNZ(c.R[in.Rd])
+		c.setNZ(c.R[in.Rd])
 
 	case OpAddHi:
 		v := c.R[in.Rd] + c.R[in.Rs]
 		if in.Rd == PC {
-			branchTo(v)
+			nextPC, branched = v&^1, true
 		} else {
 			c.R[in.Rd] = v
 		}
 	case OpCmpHi:
-		sbc(c.R[in.Rd], c.R[in.Rs], true)
+		c.sbc(c.R[in.Rd], c.R[in.Rs], true)
 	case OpMovHi:
 		v := c.R[in.Rs]
 		if in.Rd == PC {
-			branchTo(v)
+			nextPC, branched = v&^1, true
 		} else {
 			c.R[in.Rd] = v
 		}
@@ -307,38 +349,27 @@ func (c *CPU) Step() error {
 		if t&1 == 0 {
 			return &Err{instrAddr, fmt.Errorf("bx to ARM state (target %#x); only THUMB is modelled", t)}
 		}
-		branchTo(t)
+		nextPC, branched = t&^1, true
 
 	case OpLdrPC:
-		addr := ((instrAddr + 4) &^ 3) + uint32(in.Imm)
-		v, err := load(addr, 4)
+		v, err := c.load(instrAddr, ((instrAddr+4)&^3)+uint32(in.Imm), 4)
 		if err != nil {
 			return err
 		}
 		c.R[in.Rd] = v
 		c.Cycles += CyclesLoadInternal
 
-	case OpStrReg, OpStrbReg, OpStrhReg, OpStrImm, OpStrbImm, OpStrhImm:
-		addr := c.R[in.Rs]
-		if in.Op == OpStrReg || in.Op == OpStrbReg || in.Op == OpStrhReg {
-			addr += c.R[in.Rn]
-		} else {
-			addr += uint32(in.Imm)
+	case OpStrReg, OpStrbReg, OpStrhReg:
+		if err := c.store(instrAddr, c.R[in.Rs]+c.R[in.Rn], in.AccessWidth(), c.R[in.Rd]); err != nil {
+			return err
 		}
-		if err := store(addr, in.AccessWidth(), c.R[in.Rd]); err != nil {
+	case OpStrImm, OpStrbImm, OpStrhImm:
+		if err := c.store(instrAddr, c.R[in.Rs]+uint32(in.Imm), in.AccessWidth(), c.R[in.Rd]); err != nil {
 			return err
 		}
 
-	case OpLdrReg, OpLdrbReg, OpLdrhReg, OpLdsbReg, OpLdshReg,
-		OpLdrImm, OpLdrbImm, OpLdrhImm:
-		addr := c.R[in.Rs]
-		switch in.Op {
-		case OpLdrReg, OpLdrbReg, OpLdrhReg, OpLdsbReg, OpLdshReg:
-			addr += c.R[in.Rn]
-		default:
-			addr += uint32(in.Imm)
-		}
-		v, err := load(addr, in.AccessWidth())
+	case OpLdrReg, OpLdrbReg, OpLdrhReg, OpLdsbReg, OpLdshReg:
+		v, err := c.load(instrAddr, c.R[in.Rs]+c.R[in.Rn], in.AccessWidth())
 		if err != nil {
 			return err
 		}
@@ -350,13 +381,20 @@ func (c *CPU) Step() error {
 		}
 		c.R[in.Rd] = v
 		c.Cycles += CyclesLoadInternal
+	case OpLdrImm, OpLdrbImm, OpLdrhImm:
+		v, err := c.load(instrAddr, c.R[in.Rs]+uint32(in.Imm), in.AccessWidth())
+		if err != nil {
+			return err
+		}
+		c.R[in.Rd] = v
+		c.Cycles += CyclesLoadInternal
 
 	case OpStrSP:
-		if err := store(c.R[SP]+uint32(in.Imm), 4, c.R[in.Rd]); err != nil {
+		if err := c.store(instrAddr, c.R[SP]+uint32(in.Imm), 4, c.R[in.Rd]); err != nil {
 			return err
 		}
 	case OpLdrSP:
-		v, err := load(c.R[SP]+uint32(in.Imm), 4)
+		v, err := c.load(instrAddr, c.R[SP]+uint32(in.Imm), 4)
 		if err != nil {
 			return err
 		}
@@ -371,90 +409,77 @@ func (c *CPU) Step() error {
 		c.R[SP] += uint32(in.Imm)
 
 	case OpPush:
-		n := uint32(in.RegCount())
-		base := c.R[SP] - 4*n
-		c.R[SP] = base
-		addr := base
-		for r := Reg(0); r <= 7; r++ {
-			if in.Regs&(1<<r) != 0 {
-				if err := store(addr, 4, c.R[r]); err != nil {
-					return err
-				}
-				addr += 4
+		addr := c.R[SP] - 4*uint32(in.RegCount())
+		c.R[SP] = addr
+		for m := in.Regs & 0xFF; m != 0; m &= m - 1 {
+			if err := c.store(instrAddr, addr, 4, c.R[bits.TrailingZeros16(m)]); err != nil {
+				return err
 			}
+			addr += 4
 		}
 		if in.Regs&(1<<LR) != 0 {
-			if err := store(addr, 4, c.R[LR]); err != nil {
+			if err := c.store(instrAddr, addr, 4, c.R[LR]); err != nil {
 				return err
 			}
 		}
 	case OpPop:
 		addr := c.R[SP]
-		for r := Reg(0); r <= 7; r++ {
-			if in.Regs&(1<<r) != 0 {
-				v, err := load(addr, 4)
-				if err != nil {
-					return err
-				}
-				c.R[r] = v
-				addr += 4
+		for m := in.Regs & 0xFF; m != 0; m &= m - 1 {
+			v, err := c.load(instrAddr, addr, 4)
+			if err != nil {
+				return err
 			}
+			c.R[bits.TrailingZeros16(m)] = v
+			addr += 4
 		}
 		if in.Regs&(1<<PC) != 0 {
-			v, err := load(addr, 4)
+			v, err := c.load(instrAddr, addr, 4)
 			if err != nil {
 				return err
 			}
 			addr += 4
-			branchTo(v)
+			nextPC, branched = v&^1, true
 		}
 		c.R[SP] = addr
 		c.Cycles += CyclesLoadInternal
 
 	case OpStmia:
 		addr := c.R[in.Rs]
-		for r := Reg(0); r <= 7; r++ {
-			if in.Regs&(1<<r) != 0 {
-				if err := store(addr, 4, c.R[r]); err != nil {
-					return err
-				}
-				addr += 4
+		for m := in.Regs & 0xFF; m != 0; m &= m - 1 {
+			if err := c.store(instrAddr, addr, 4, c.R[bits.TrailingZeros16(m)]); err != nil {
+				return err
 			}
+			addr += 4
 		}
 		c.R[in.Rs] = addr
 	case OpLdmia:
 		addr := c.R[in.Rs]
-		loadedBase := false
-		for r := Reg(0); r <= 7; r++ {
-			if in.Regs&(1<<r) != 0 {
-				v, err := load(addr, 4)
-				if err != nil {
-					return err
-				}
-				c.R[r] = v
-				if r == in.Rs {
-					loadedBase = true
-				}
-				addr += 4
+		for m := in.Regs & 0xFF; m != 0; m &= m - 1 {
+			v, err := c.load(instrAddr, addr, 4)
+			if err != nil {
+				return err
 			}
+			c.R[bits.TrailingZeros16(m)] = v
+			addr += 4
 		}
-		if !loadedBase {
+		// Write-back is suppressed when the base is in the list.
+		if in.Regs&(1<<in.Rs) == 0 {
 			c.R[in.Rs] = addr
 		}
 		c.Cycles += CyclesLoadInternal
 
 	case OpBCond:
 		if c.condPasses(in.Cond) {
-			branchTo(instrAddr + 4 + uint32(in.Imm))
+			nextPC, branched = (instrAddr+4+uint32(in.Imm))&^1, true
 		}
 	case OpB:
-		branchTo(instrAddr + 4 + uint32(in.Imm))
+		nextPC, branched = (instrAddr+4+uint32(in.Imm))&^1, true
 	case OpBlHi:
 		c.R[LR] = instrAddr + 4 + uint32(in.Imm<<12)
 	case OpBlLo:
 		target := c.R[LR] + uint32(in.Imm<<1)
 		c.R[LR] = (instrAddr + 2) | 1
-		branchTo(target)
+		nextPC, branched = target&^1, true
 
 	case OpSwi:
 		c.Cycles += CyclesSwi

@@ -440,3 +440,50 @@ func TestSWIHandlerHook(t *testing.T) {
 		t.Fatalf("swi hook saw r0=%d, want 7", got)
 	}
 }
+
+// TestDecodeMemoExact: for every halfword, the decode memo returns what
+// Decode returns, whether the slot is empty, already holds that halfword,
+// or holds a different halfword fetched at an address sharing the slot.
+func TestDecodeMemoExact(t *testing.T) {
+	c := NewCPU(newRAM(0), 0, 0)
+	for i := 0; i < 1<<16; i++ {
+		hw := uint16(i)
+		addr := uint32(i) * 2 // each slot sees 32 distinct halfwords in turn
+		want := Decode(hw)
+		for pass := 0; pass < 2; pass++ { // a miss, then a hit
+			if got := *c.decode(addr, hw); got != want {
+				t.Fatalf("memo decode(%#x, %#04x) pass %d = %+v, want %+v", addr, hw, pass, got, want)
+			}
+		}
+		alias := addr + 2*memoSize
+		other := hw ^ 0x8000
+		if got := *c.decode(alias, other); got != Decode(other) {
+			t.Fatalf("memo decode(%#x, %#04x) after %#04x = %+v, want %+v", alias, other, hw, got, Decode(other))
+		}
+	}
+}
+
+// TestSelfModifyingCode: a program that overwrites an instruction it has
+// already executed and branches back must execute the new instruction.
+func TestSelfModifyingCode(t *testing.T) {
+	patched := MustEncode(Instr{Op: OpAddImm8, Rd: 0, Imm: 100})
+	c := run(t, []Instr{
+		{Op: OpMovImm, Rd: 0, Imm: 0},
+		{Op: OpMovImm, Rd: 2, Imm: 0},
+		{Op: OpAddImm8, Rd: 0, Imm: 1}, // 0x104, patched to add r0, #100
+		{Op: OpCmpImm, Rd: 2, Imm: 0},
+		{Op: OpBCond, Cond: CondNE, Imm: 14}, // second pass: to the exit
+		{Op: OpMovImm, Rd: 2, Imm: 1},
+		{Op: OpMovImm, Rd: 3, Imm: int32(patched >> 8)},
+		{Op: OpLslImm, Rd: 3, Rs: 3, Imm: 8},
+		{Op: OpAddImm8, Rd: 3, Imm: int32(patched & 0xFF)},
+		{Op: OpMovImm, Rd: 4, Imm: 0x82},
+		{Op: OpLslImm, Rd: 4, Rs: 4, Imm: 1}, // r4 = 0x104
+		{Op: OpStrhImm, Rd: 3, Rs: 4, Imm: 0},
+		{Op: OpB, Imm: -24}, // back to 0x104
+		exit(),
+	})
+	if c.R[0] != 101 {
+		t.Fatalf("r0 = %d, want 101 (1 from the original add, 100 from the patched one)", c.R[0])
+	}
+}

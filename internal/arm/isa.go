@@ -9,7 +9,10 @@
 // analyser agree on instruction semantics by construction.
 package arm
 
-import "fmt"
+import (
+	"fmt"
+	"math/bits"
+)
 
 // Reg is a register number r0..r15. r13 = SP, r14 = LR, r15 = PC.
 type Reg = uint8
@@ -246,15 +249,7 @@ func (i Instr) AccessWidth() uint8 {
 
 // RegCount returns the number of registers transferred by a multi-register
 // operation, counting the LR/PC slot.
-func (i Instr) RegCount() int {
-	n := 0
-	for b := 0; b < 16; b++ {
-		if i.Regs&(1<<b) != 0 {
-			n++
-		}
-	}
-	return n
-}
+func (i Instr) RegCount() int { return bits.OnesCount16(i.Regs) }
 
 func (o Op) String() string {
 	if int(o) < len(opNames) {

@@ -9,7 +9,10 @@
 // (4 accesses + 12 waitstates, as in the paper) and then delivers the word.
 package cache
 
-import "fmt"
+import (
+	"fmt"
+	"math/bits"
+)
 
 // Timing constants, derived from the paper's Table 1 and cache description.
 const (
@@ -24,6 +27,11 @@ const (
 
 // DefaultLineSize is the paper's line length: four 32-bit words.
 const DefaultLineSize = 16
+
+// MaxSize is the largest cache Validate accepts: 64 KiB, eight times the
+// largest size the paper evaluates. It bounds what one request can make
+// New allocate.
+const MaxSize = 64 << 10
 
 // Config describes a cache organisation.
 type Config struct {
@@ -53,17 +61,27 @@ func (c Config) WithDefaults() Config {
 	return c
 }
 
-// Validate checks the configuration for consistency.
+// Validate checks the configuration for consistency. A valid
+// configuration has a power-of-two line size and set count.
 func (c Config) Validate() error {
 	c = c.WithDefaults()
 	if c.Size == 0 || c.Size&(c.Size-1) != 0 {
 		return fmt.Errorf("cache: size %d must be a power of two", c.Size)
+	}
+	if c.Size > MaxSize {
+		return fmt.Errorf("cache: size %d exceeds maximum %d", c.Size, MaxSize)
 	}
 	if c.LineSize&(c.LineSize-1) != 0 || c.LineSize < 4 {
 		return fmt.Errorf("cache: line size %d must be a power of two >= 4", c.LineSize)
 	}
 	if c.Assoc < 1 {
 		return fmt.Errorf("cache: associativity %d must be >= 1", c.Assoc)
+	}
+	// Bounding Assoc by the line count first keeps LineSize*Assoc <= Size,
+	// so the product below cannot wrap to zero.
+	if uint64(c.Assoc) > uint64(c.Size/c.LineSize) {
+		return fmt.Errorf("cache: associativity %d exceeds the %d lines of size %d with line size %d",
+			c.Assoc, c.Size/c.LineSize, c.Size, c.LineSize)
 	}
 	if c.Size%(c.LineSize*uint32(c.Assoc)) != 0 {
 		return fmt.Errorf("cache: size %d not divisible by line size %d x assoc %d",
@@ -87,9 +105,16 @@ type way struct {
 
 // Cache is a running cache model.
 type Cache struct {
-	cfg   Config
-	sets  [][]way
+	cfg Config
+	// ways holds the sets one after another, Assoc ways each.
+	ways  []way
 	clock uint64
+	// An address's line is addr >> lineShift; its set is line & setMask
+	// and its tag line >> setShift. Validate makes the line size and the
+	// set count powers of two, so these equal the divisions and moduli by
+	// LineSize and NumSets.
+	lineShift, setShift uint
+	setMask             uint32
 
 	Hits   uint64
 	Misses uint64
@@ -101,47 +126,53 @@ func New(cfg Config) (*Cache, error) {
 		return nil, err
 	}
 	cfg = cfg.WithDefaults()
-	sets := make([][]way, cfg.NumSets())
-	for i := range sets {
-		sets[i] = make([]way, cfg.Assoc)
-	}
-	return &Cache{cfg: cfg, sets: sets}, nil
+	nsets := cfg.NumSets()
+	return &Cache{
+		cfg:       cfg,
+		ways:      make([]way, int(nsets)*cfg.Assoc),
+		lineShift: uint(bits.TrailingZeros32(cfg.LineSize)),
+		setShift:  uint(bits.TrailingZeros32(nsets)),
+		setMask:   nsets - 1,
+	}, nil
 }
 
 // Config returns the cache configuration (with defaults applied).
 func (c *Cache) Config() Config { return c.cfg }
 
-func (c *Cache) index(addr uint32) (set uint32, tag uint32) {
-	line := addr / c.cfg.LineSize
-	return line % uint32(len(c.sets)), line / uint32(len(c.sets))
+// set returns the ways of addr's set and addr's tag.
+func (c *Cache) set(addr uint32) ([]way, uint32) {
+	line := addr >> c.lineShift
+	i := int(line&c.setMask) * c.cfg.Assoc
+	return c.ways[i : i+c.cfg.Assoc], line >> c.setShift
 }
 
-// lookup returns the way holding addr, or nil.
-func (c *Cache) lookup(addr uint32) *way {
-	set, tag := c.index(addr)
-	for i := range c.sets[set] {
-		w := &c.sets[set][i]
-		if w.valid && w.tag == tag {
+// find returns the way of set holding tag, or nil.
+func find(set []way, tag uint32) *way {
+	for i := range set {
+		if w := &set[i]; w.valid && w.tag == tag {
 			return w
 		}
 	}
 	return nil
 }
 
+// lookup returns the way holding addr, or nil.
+func (c *Cache) lookup(addr uint32) *way { return find(c.set(addr)) }
+
 // Read performs a read access and returns its cycle cost. A miss fills the
 // line (evicting the LRU way of the set).
 func (c *Cache) Read(addr uint32) int {
 	c.clock++
-	if w := c.lookup(addr); w != nil {
+	set, tag := c.set(addr)
+	if w := find(set, tag); w != nil {
 		w.lru = c.clock
 		c.Hits++
 		return HitCycles
 	}
 	c.Misses++
-	set, tag := c.index(addr)
-	victim := &c.sets[set][0]
-	for i := range c.sets[set] {
-		w := &c.sets[set][i]
+	victim := &set[0]
+	for i := range set {
+		w := &set[i]
 		if !w.valid {
 			victim = w
 			break
@@ -171,11 +202,7 @@ func (c *Cache) Write(addr uint32, size uint8) int {
 
 // Flush invalidates all lines and resets statistics.
 func (c *Cache) Flush() {
-	for s := range c.sets {
-		for i := range c.sets[s] {
-			c.sets[s][i] = way{}
-		}
-	}
+	clear(c.ways)
 	c.clock, c.Hits, c.Misses = 0, 0, 0
 }
 

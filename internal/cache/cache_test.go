@@ -179,3 +179,150 @@ func TestNumSets(t *testing.T) {
 		t.Errorf("1K 4-way: %d sets, want 16", n)
 	}
 }
+
+// refCache is the reference model: the cache indexed by division and
+// modulo over a slice of sets, with the same LRU replacement.
+type refCache struct {
+	lineSize     uint32
+	sets         [][]way
+	clock        uint64
+	hits, misses uint64
+}
+
+func newRef(cfg Config) *refCache {
+	cfg = cfg.WithDefaults()
+	sets := make([][]way, cfg.NumSets())
+	for i := range sets {
+		sets[i] = make([]way, cfg.Assoc)
+	}
+	return &refCache{lineSize: cfg.LineSize, sets: sets}
+}
+
+func (c *refCache) lookup(addr uint32) (set []way, tag uint32, hit *way) {
+	line := addr / c.lineSize
+	set, tag = c.sets[line%uint32(len(c.sets))], line/uint32(len(c.sets))
+	for i := range set {
+		if set[i].valid && set[i].tag == tag {
+			return set, tag, &set[i]
+		}
+	}
+	return set, tag, nil
+}
+
+func (c *refCache) read(addr uint32) int {
+	c.clock++
+	set, tag, w := c.lookup(addr)
+	if w != nil {
+		w.lru = c.clock
+		c.hits++
+		return HitCycles
+	}
+	c.misses++
+	victim := &set[0]
+	for i := range set {
+		if !set[i].valid {
+			victim = &set[i]
+			break
+		}
+		if set[i].lru < victim.lru {
+			victim = &set[i]
+		}
+	}
+	*victim = way{valid: true, tag: tag, lru: c.clock}
+	return MissCycles
+}
+
+func (c *refCache) write(addr uint32, size uint8) int {
+	c.clock++
+	if _, _, w := c.lookup(addr); w != nil {
+		w.lru = c.clock
+	}
+	if size == 4 {
+		return 4
+	}
+	return 2
+}
+
+// TestMatchesReferenceModel: on seeded random access streams, the
+// shift-and-mask cache returns the same cost for every access, and ends
+// with the same hits, misses and contents, as the div/mod reference, for
+// every geometry from 64 B to 8 KiB x assoc {1, 2, 4} x line {4, 16, 64},
+// unified and instruction-only (where, as in mem.System, only fetches
+// reach the cache).
+func TestMatchesReferenceModel(t *testing.T) {
+	r := rand.New(rand.NewSource(4))
+	for size := uint32(64); size <= 8192; size *= 2 {
+		for _, assoc := range []int{1, 2, 4} {
+			for _, line := range []uint32{4, 16, 64} {
+				for _, ionly := range []bool{false, true} {
+					cfg := Config{Size: size, Assoc: assoc, LineSize: line, InstructionOnly: ionly}
+					if cfg.Validate() != nil {
+						continue
+					}
+					c, ref := mustNew(t, cfg), newRef(cfg)
+					base := r.Uint32()
+					for i := 0; i < 3000; i++ {
+						// Mostly a window of four cache sizes, so hits,
+						// conflicts and evictions all occur; some far away.
+						addr := base + r.Uint32()%(4*size)
+						if r.Intn(8) == 0 {
+							addr = r.Uint32()
+						}
+						fetch := r.Intn(2) == 0
+						if ionly && !fetch {
+							continue
+						}
+						if fetch || r.Intn(2) == 0 {
+							if got, want := c.Read(addr), ref.read(addr); got != want {
+								t.Fatalf("%+v: read #%d at %#x cost %d, want %d", cfg, i, addr, got, want)
+							}
+						} else {
+							sz := uint8(1) << r.Intn(3)
+							if got, want := c.Write(addr, sz), ref.write(addr, sz); got != want {
+								t.Fatalf("%+v: write #%d at %#x cost %d, want %d", cfg, i, addr, got, want)
+							}
+						}
+					}
+					if c.Hits != ref.hits || c.Misses != ref.misses {
+						t.Fatalf("%+v: hits/misses %d/%d, want %d/%d", cfg, c.Hits, c.Misses, ref.hits, ref.misses)
+					}
+					for i := 0; i < 200; i++ {
+						addr := base + r.Uint32()%(4*size)
+						if _, _, w := ref.lookup(addr); c.Contains(addr) != (w != nil) {
+							t.Fatalf("%+v: Contains(%#x) = %v, want %v", cfg, addr, c.Contains(addr), w != nil)
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestValidateRejectsOverflowingGeometry: an associativity beyond the line
+// count, which once wrapped LineSize*Assoc to zero and divided by it, and
+// sizes above MaxSize are errors, not panics or huge allocations.
+func TestValidateRejectsOverflowingGeometry(t *testing.T) {
+	bad := []Config{
+		{Size: 1024, Assoc: 1 << 28},
+		{Size: 1024, Assoc: 1 << 30, LineSize: 4},
+		{Size: 1024, Assoc: 65},
+		{Size: 1024, LineSize: 1 << 31, Assoc: 2},
+		{Size: 16, LineSize: 32},
+		{Size: MaxSize * 2},
+		{Size: 64 << 20},
+		{Size: 1 << 31},
+	}
+	for _, cfg := range bad {
+		if err := cfg.Validate(); err == nil {
+			t.Errorf("Validate(%+v) = nil, want error", cfg)
+		}
+		if _, err := New(cfg); err == nil {
+			t.Errorf("New(%+v) succeeded, want error", cfg)
+		}
+	}
+	for _, cfg := range []Config{{Size: MaxSize}, {Size: 1024, Assoc: 64}, {Size: MaxSize, Assoc: 4096}} {
+		if err := cfg.Validate(); err != nil {
+			t.Errorf("Validate(%+v) = %v, want nil", cfg, err)
+		}
+	}
+}

@@ -12,6 +12,7 @@
 package mem
 
 import (
+	"encoding/binary"
 	"fmt"
 
 	"repro/internal/cache"
@@ -51,6 +52,14 @@ func (s *Segment) Contains(addr uint32, size uint8) bool {
 
 func (s *Segment) read(addr uint32, size uint8) uint32 {
 	off := addr - s.Base
+	switch size {
+	case 4:
+		return binary.LittleEndian.Uint32(s.Data[off:])
+	case 2:
+		return uint32(binary.LittleEndian.Uint16(s.Data[off:]))
+	case 1:
+		return uint32(s.Data[off])
+	}
 	var v uint32
 	for i := uint8(0); i < size; i++ {
 		v |= uint32(s.Data[off+uint32(i)]) << (8 * i)
@@ -60,6 +69,17 @@ func (s *Segment) read(addr uint32, size uint8) uint32 {
 
 func (s *Segment) write(addr uint32, size uint8, val uint32) {
 	off := addr - s.Base
+	switch size {
+	case 4:
+		binary.LittleEndian.PutUint32(s.Data[off:], val)
+		return
+	case 2:
+		binary.LittleEndian.PutUint16(s.Data[off:], uint16(val))
+		return
+	case 1:
+		s.Data[off] = byte(val)
+		return
+	}
 	for i := uint8(0); i < size; i++ {
 		s.Data[off+uint32(i)] = byte(val >> (8 * i))
 	}
@@ -73,9 +93,32 @@ type Access struct {
 	Write bool
 }
 
+// windowShift sets the granularity of System's direct segment lookup:
+// one table slot per 1 MiB window of the address space.
+const windowShift = 20
+
+// Window slot values below windowDirect; a value k >= windowDirect selects
+// System.direct[k-windowDirect].
+const (
+	// windowFind sends the lookup to the linear search: several segments
+	// meet in the window, or the table was never built (a System not made
+	// by NewSystem).
+	windowFind = iota
+	// windowEmpty marks a window that no segment touches.
+	windowEmpty
+	windowDirect
+)
+
+// directSeg is the only segment in one or more windows.
+type directSeg struct {
+	seg *Segment
+	spm bool
+}
+
 // System is the complete memory system; it implements arm.Bus.
 type System struct {
 	// SPM is the scratchpad segment; nil when the system has no scratchpad.
+	// SPM and Main must not change after NewSystem, which indexes them.
 	SPM *Segment
 	// Main holds the main-memory segments (code, data, stack, …).
 	Main []*Segment
@@ -90,13 +133,73 @@ type System struct {
 	// Statistics.
 	SPMAccesses  uint64
 	MainAccesses uint64
+
+	// window maps each 1 MiB window (addr >> windowShift) to the one
+	// segment that touches it, or to windowEmpty or windowFind.
+	window [1 << (32 - windowShift)]uint8
+	direct []directSeg
 }
 
 // NewSystem builds a memory system from segments. spm may be nil.
+//
+// It indexes every window that exactly one segment touches, so that
+// lookups there skip the linear search. A segment touches the windows of
+// its bytes and of its end address (where a zero-size range is still
+// contained). An access whose window maps to a single segment can lie in
+// no other segment, since any segment holding the access's first byte
+// touches that window; so the direct answer is that segment if it
+// contains the access and none otherwise, exactly what find returns.
 func NewSystem(spm *Segment, main ...*Segment) *System {
-	return &System{SPM: spm, Main: main}
+	m := &System{SPM: spm, Main: main}
+	for w := range m.window {
+		m.window[w] = windowEmpty
+	}
+	touch := func(s *Segment, isSPM bool) {
+		k := uint8(windowFind) // once slot values run out, search linearly
+		if len(m.direct) < 0x100-windowDirect {
+			k = uint8(len(m.direct) + windowDirect)
+			m.direct = append(m.direct, directSeg{s, isSPM})
+		}
+		for w := s.Base >> windowShift; w <= s.lastWindow(); w++ {
+			if m.window[w] == windowEmpty {
+				m.window[w] = k
+			} else {
+				m.window[w] = windowFind
+			}
+		}
+	}
+	if spm != nil {
+		touch(spm, true)
+	}
+	for _, s := range main {
+		touch(s, false)
+	}
+	return m
 }
 
+// lastWindow returns the window of the segment's end address.
+func (s *Segment) lastWindow() uint32 {
+	return uint32(min((uint64(s.Base)+uint64(len(s.Data)))>>windowShift, 1<<(32-windowShift)-1))
+}
+
+// lookup returns the segment containing [addr, addr+size) and whether it
+// is the scratchpad, through the window table where it can.
+func (m *System) lookup(addr uint32, size uint8) (*Segment, bool) {
+	switch k := m.window[addr>>windowShift]; k {
+	case windowFind:
+		return m.find(addr, size)
+	case windowEmpty:
+		return nil, false
+	default:
+		d := &m.direct[k-windowDirect]
+		if d.seg.Contains(addr, size) {
+			return d.seg, d.spm
+		}
+		return nil, false
+	}
+}
+
+// find is the linear search over all segments, scratchpad first.
 func (m *System) find(addr uint32, size uint8) (*Segment, bool) {
 	if m.SPM != nil && m.SPM.Contains(addr, size) {
 		return m.SPM, true
@@ -114,7 +217,7 @@ func (m *System) Read(addr uint32, size uint8, fetch bool) (uint32, int, error) 
 	if m.OnAccess != nil {
 		m.OnAccess(Access{Addr: addr, Size: size, Fetch: fetch})
 	}
-	seg, isSPM := m.find(addr, size)
+	seg, isSPM := m.lookup(addr, size)
 	if seg == nil {
 		return 0, 0, fmt.Errorf("mem: unmapped %d-byte read at %#x", size, addr)
 	}
@@ -135,7 +238,7 @@ func (m *System) Write(addr uint32, size uint8, val uint32) (int, error) {
 	if m.OnAccess != nil {
 		m.OnAccess(Access{Addr: addr, Size: size, Write: true})
 	}
-	seg, isSPM := m.find(addr, size)
+	seg, isSPM := m.lookup(addr, size)
 	if seg == nil {
 		return 0, fmt.Errorf("mem: unmapped %d-byte write at %#x", size, addr)
 	}
@@ -154,7 +257,7 @@ func (m *System) Write(addr uint32, size uint8, val uint32) (int, error) {
 // Peek reads memory without timing, statistics or profiling side effects.
 // It is used to inspect results after simulation.
 func (m *System) Peek(addr uint32, size uint8) (uint32, error) {
-	seg, _ := m.find(addr, size)
+	seg, _ := m.lookup(addr, size)
 	if seg == nil {
 		return 0, fmt.Errorf("mem: unmapped %d-byte peek at %#x", size, addr)
 	}
@@ -163,7 +266,7 @@ func (m *System) Peek(addr uint32, size uint8) (uint32, error) {
 
 // Poke writes memory without timing side effects (test/input injection).
 func (m *System) Poke(addr uint32, size uint8, val uint32) error {
-	seg, _ := m.find(addr, size)
+	seg, _ := m.lookup(addr, size)
 	if seg == nil {
 		return fmt.Errorf("mem: unmapped %d-byte poke at %#x", size, addr)
 	}

@@ -1,6 +1,8 @@
 package mem
 
 import (
+	"fmt"
+	"math/rand"
 	"testing"
 
 	"repro/internal/cache"
@@ -175,5 +177,130 @@ func TestPeekPokeNoSideEffects(t *testing.T) {
 	}
 	if m.MainAccesses != before {
 		t.Fatal("peek must not count as an access")
+	}
+}
+
+// refFind is the reference segment search: scratchpad first, then the main
+// segments in order, by linear scan.
+func refFind(spm *Segment, main []*Segment, addr uint32, size uint8) (*Segment, bool) {
+	if spm != nil && spm.Contains(addr, size) {
+		return spm, true
+	}
+	for _, s := range main {
+		if s.Contains(addr, size) {
+			return s, false
+		}
+	}
+	return nil, false
+}
+
+func seg(name string, base, size uint32) *Segment {
+	return &Segment{Name: name, Base: base, Data: make([]byte, size)}
+}
+
+// TestLookupMatchesLinearFind: the window-indexed lookup agrees with the
+// linear reference on segment, scratchpad flag and the errors and costs
+// of every access, for layouts whose segments share windows, span
+// windows, overlap, are empty, end on a window boundary or at the top of
+// the address space.
+func TestLookupMatchesLinearFind(t *testing.T) {
+	many := make([]*Segment, 260) // more segments than the table can name
+	for i := range many {
+		many[i] = seg("m", uint32(i+1)<<windowShift, 64)
+	}
+	layouts := []struct {
+		name string
+		spm  *Segment
+		main []*Segment
+	}{
+		{"linked", seg("spm", 0, 1024),
+			[]*Segment{seg("code", 0x100000, 0x1000), seg("data", 0x200000, 0x800), seg("stack", 0x300000, 0x10000)}},
+		{"shared window", seg("spm", 0, 1024),
+			[]*Segment{seg("code", 0x10000, 0x8000), seg("data", 0x20000, 0x8000)}},
+		{"no spm", nil,
+			[]*Segment{seg("code", 0x100000, 0x1000), seg("data", 0x200000, 0x800)}},
+		{"spanning", seg("spm", 0x0FFFF0, 0x40), []*Segment{
+			seg("next", 0x100030, 0x10), seg("wide", 0x2F0000, 0x120000), seg("edge", 0x7F0000, 0x10000),
+			seg("after", 0x800000, 0x100), seg("top", 0xFFFFF000, 0x1000)}},
+		{"empty", seg("spm", 0x500000, 0), []*Segment{
+			seg("zero", 0x600000, 0), seg("host", 0x600010, 0x100), seg("lone", 0x700000, 0)}},
+		{"overlap", seg("spm", 0x900000, 0x100), []*Segment{seg("main", 0x900080, 0x100), seg("dup", 0x900080, 0x100)}},
+		{"many", nil, many},
+	}
+	sizes := []uint8{0, 1, 2, 4}
+	for _, l := range layouts {
+		systems := map[string]*System{
+			"NewSystem": NewSystem(l.spm, l.main...),
+			"literal":   {SPM: l.spm, Main: l.main}, // no window table: all linear
+		}
+		var probes []uint32
+		all := append([]*Segment{l.spm}, l.main...)
+		for _, s := range all {
+			if s == nil {
+				continue
+			}
+			end := s.Base + uint32(len(s.Data))
+			for _, d := range []uint32{0, 1, 2, 3, 4, 8} {
+				probes = append(probes, s.Base-d, s.Base+d, end-d, end+d)
+			}
+			w := s.Base >> windowShift << windowShift
+			probes = append(probes, w, w-1, w-2, w-3, w+1<<windowShift-2)
+		}
+		r := rand.New(rand.NewSource(1))
+		for i := 0; i < 500; i++ {
+			probes = append(probes, r.Uint32(), r.Uint32()&0x00FFFFFF)
+		}
+		for sname, m := range systems {
+			for _, addr := range probes {
+				for _, size := range sizes {
+					want, wantSPM := refFind(l.spm, l.main, addr, size)
+					got, gotSPM := m.lookup(addr, size)
+					if got != want || gotSPM != wantSPM {
+						t.Fatalf("%s/%s: lookup(%#x, %d) = %s,%v, want %s,%v",
+							l.name, sname, addr, size, segName(got), gotSPM, segName(want), wantSPM)
+					}
+					checkAccess(t, l.name+"/"+sname, m, addr, size, want, wantSPM)
+				}
+			}
+		}
+	}
+}
+
+func segName(s *Segment) string {
+	if s == nil {
+		return "<nil>"
+	}
+	return s.Name
+}
+
+// checkAccess compares Read, Write, Peek and Poke at [addr, addr+size)
+// against the reference segment want.
+func checkAccess(t *testing.T, layout string, m *System, addr uint32, size uint8, want *Segment, spm bool) {
+	t.Helper()
+	_, rcyc, rerr := m.Read(addr, size, false)
+	wcyc, werr := m.Write(addr, size, 0)
+	_, perr := m.Peek(addr, size)
+	kerr := m.Poke(addr, size, 0)
+	if want == nil {
+		for _, c := range []struct {
+			err  error
+			verb string
+		}{{rerr, "read"}, {werr, "write"}, {perr, "peek"}, {kerr, "poke"}} {
+			msg := fmt.Sprintf("mem: unmapped %d-byte %s at %#x", size, c.verb, addr)
+			if c.err == nil || c.err.Error() != msg {
+				t.Fatalf("%s: %s(%#x, %d) error %v, want %q", layout, c.verb, addr, size, c.err, msg)
+			}
+		}
+		return
+	}
+	if rerr != nil || werr != nil || perr != nil || kerr != nil {
+		t.Fatalf("%s: access (%#x, %d) in %s failed: %v %v %v %v", layout, addr, size, want.Name, rerr, werr, perr, kerr)
+	}
+	cost := MainCost(size)
+	if spm {
+		cost = SPMCycles
+	}
+	if rcyc != cost || wcyc != cost {
+		t.Fatalf("%s: access (%#x, %d) costs %d/%d, want %d", layout, addr, size, rcyc, wcyc, cost)
 	}
 }

@@ -548,9 +548,8 @@ func (p *Pipeline) preparedFor(regions []obj.Region) (*link.Prepared, error) {
 
 // Simulate runs (memoized) the typical input under one placement and cache
 // configuration, consulting the disk tier before computing. The returned
-// result is shared and must be treated as read-only; a disk-served result
-// carries the run's counters but a nil Mem (the final memory image is not
-// persisted).
+// result is shared and must be treated as read-only. It carries the run's
+// counters but a nil Mem: neither tier keeps the final memory image.
 func (p *Pipeline) Simulate(ctx context.Context, spmSize uint32, inSPM map[string]bool, ccfg *cache.Config) (*sim.Result, error) {
 	return p.SimulateUnits(ctx, nil, spmSize, inSPM, ccfg)
 }
@@ -598,6 +597,9 @@ func (p *Pipeline) SimulateUnits(ctx context.Context, regions []obj.Region, spmS
 		p.om.sim.seconds.Observe(d.Seconds())
 		p.debugStage(ctx, "simulate", key, d)
 		if err == nil {
+			// Memoize only the counters, as the disk tier does: the final
+			// memory image would pin the run's stack, code and data.
+			res.Mem = nil
 			p.storeSave(func(disk *store.Store) error {
 				return disk.SaveSim(p.programKey(), key, res)
 			})
@@ -895,6 +897,7 @@ func (p *Pipeline) Profile(ctx context.Context) (*sim.Profile, error) {
 	}
 	e.done = true
 	if e.err == nil {
+		e.val.Result.Mem = nil // as in SimulateUnits
 		p.storeSave(func(disk *store.Store) error {
 			return disk.SaveProfile(p.programKey(), profileStageKey, e.val)
 		})

@@ -208,3 +208,31 @@ func TestProfileMemoizedAndPrimable(t *testing.T) {
 		t.Errorf("primed pipeline re-profiled %d times", s.Profiles)
 	}
 }
+
+// TestMemoizedResultsDropMemory: simulation results and the profile the
+// memory tier keeps carry their counters but no final memory image, with
+// and without a cache, on the computing call and on a memo hit alike.
+func TestMemoizedResultsDropMemory(t *testing.T) {
+	p := compile(t)
+	ctx := context.Background()
+	for _, ccfg := range []*cache.Config{nil, {Size: 256}} {
+		for pass := 0; pass < 2; pass++ {
+			res, err := p.Simulate(ctx, 0, nil, ccfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res.Mem != nil || res.Instrs == 0 {
+				t.Errorf("cache %v pass %d: has Mem=%v instrs=%d, want nil Mem and counters", ccfg, pass, res.Mem != nil, res.Instrs)
+			}
+		}
+	}
+	for pass := 0; pass < 2; pass++ {
+		prof, err := p.Profile(ctx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if prof.Result.Mem != nil || prof.Result.Instrs == 0 {
+			t.Errorf("profile pass %d: has Mem=%v instrs=%d, want nil Mem and counters", pass, prof.Result.Mem != nil, prof.Result.Instrs)
+		}
+	}
+}

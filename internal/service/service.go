@@ -80,6 +80,7 @@ import (
 	"time"
 
 	"repro/internal/benchprog"
+	"repro/internal/cache"
 	"repro/internal/core"
 	"repro/internal/link"
 	"repro/internal/obs"
@@ -514,6 +515,10 @@ func (s *Server) handleWCET(w http.ResponseWriter, r *http.Request) {
 				s.writeError(w, http.StatusBadRequest, "assoc must be a positive integer")
 				return
 			}
+		}
+		if verr := (cache.Config{Size: size, Assoc: assoc}).Validate(); verr != nil {
+			s.writeError(w, http.StatusBadRequest, verr.Error())
+			return
 		}
 		m, err = lab.WithCache(r.Context(), size, assoc)
 	default:

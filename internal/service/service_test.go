@@ -150,6 +150,9 @@ func TestServeErrors(t *testing.T) {
 		{"/v1/wcet?bench=WorstCaseSort&spm=banana", http.StatusBadRequest},      // unparsable size
 		{"/v1/wcet?bench=WorstCaseSort&spm=65536", http.StatusBadRequest},       // above SPMMax
 		{"/v1/wcet?bench=WorstCaseSort&cache=64&assoc=0", http.StatusBadRequest},
+		{"/v1/wcet?bench=WorstCaseSort&cache=1024&assoc=268435456", http.StatusBadRequest}, // assoc beyond the line count
+		{"/v1/wcet?bench=WorstCaseSort&cache=131072", http.StatusBadRequest},               // above cache.MaxSize
+		{"/v1/wcet?bench=WorstCaseSort&cache=1000", http.StatusBadRequest},                 // not a power of two
 		{"/v1/sweep?bench=WorstCaseSort&branch=bogus", http.StatusBadRequest},
 		{"/v1/witness?bench=WorstCaseSort&top=-1", http.StatusBadRequest},
 	}

@@ -35,6 +35,7 @@ type Result struct {
 	// ExitCode is r0 when the program executed SWI 0 (main's return value).
 	ExitCode uint32
 	// Mem is the final memory system, for post-run inspection of outputs.
+	// Results served by the pipeline's memo or store have a nil Mem.
 	Mem *mem.System
 }
 
