@@ -19,7 +19,6 @@ import (
 	"repro/internal/link"
 	"repro/internal/mem"
 	"repro/internal/sim"
-	"repro/internal/store"
 	"repro/internal/wcet"
 )
 
@@ -413,49 +412,6 @@ func BenchmarkSweepAllBenchmarks(b *testing.B) {
 	}
 }
 
-// BenchmarkRelinkDelta compares linking every G.721 energy-sweep placement
-// from scratch against patching them from a prepared base layout: the
-// "full" case is what each sweep step paid before delta linking, "delta"
-// is the Prepare-once + Relink-per-placement hot path (relocs/relink
-// reports how many relocation sites each delta actually re-resolved).
-func BenchmarkRelinkDelta(b *testing.B) {
-	l := labFor(b, "G.721")
-	prog := l.Pipe.Prog
-	placements := make([]map[string]bool, 0, len(core.PaperSizes))
-	for _, size := range core.PaperSizes {
-		a, err := l.Pipe.Allocate(context.Background(), l.EnergyAllocator(), size)
-		if err != nil {
-			b.Fatal(err)
-		}
-		placements = append(placements, a.InSPM)
-	}
-	b.Run("full", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			for j, size := range core.PaperSizes {
-				if _, err := link.Link(prog, size, placements[j]); err != nil {
-					b.Fatal(err)
-				}
-			}
-		}
-	})
-	b.Run("delta", func(b *testing.B) {
-		prep, err := link.Prepare(prog)
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			for j, size := range core.PaperSizes {
-				if _, err := prep.Relink(size, placements[j]); err != nil {
-					b.Fatal(err)
-				}
-			}
-		}
-		st := prep.Stats()
-		b.ReportMetric(float64(st.RelocsResolved)/float64(st.Relinks), "relocs/relink")
-	})
-}
-
 // BenchmarkCacheSweepCold measures the paper's cache capacity sweep the
 // way every run paid for it before the incremental cache context: a
 // from-scratch CFG build, MUST fixed point and IPET solve per capacity.
@@ -483,12 +439,12 @@ func BenchmarkCacheSweepCold(b *testing.B) {
 // incremental-analysis win; results are bit-identical.
 func BenchmarkCacheSweepWarm(b *testing.B) {
 	l := labFor(b, "ADPCM")
-	prep, err := link.Prepare(l.Pipe.Prog)
+	base, err := link.Link(l.Pipe.Prog, 0, nil)
 	if err != nil {
 		b.Fatal(err)
 	}
 	ccfg := cache.Config{}
-	cctx, err := wcet.NewCacheContext(prep, wcet.Options{Cache: &ccfg, StackBound: l.StackBound})
+	cctx, err := wcet.NewCacheContext(base, wcet.Options{Cache: &ccfg, StackBound: l.StackBound})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -509,38 +465,4 @@ func BenchmarkCacheSweepWarm(b *testing.B) {
 	}
 	st := cctx.Stats()
 	b.ReportMetric(float64(st.FuncsReanalyzed)/float64(st.Analyses), "funcs-rerun/analysis")
-}
-
-// BenchmarkWarmProcessPareto measures the cross-process warm start: a
-// fresh lab (a new "process") re-runs the MultiSort Pareto sweep against
-// a store whose analyses were evicted but whose solver state, profile and
-// simulations persist — every per-function solve is served from the
-// persisted solutions instead of being re-proved.
-func BenchmarkWarmProcessPareto(b *testing.B) {
-	st, err := store.Open(b.TempDir())
-	if err != nil {
-		b.Fatal(err)
-	}
-	seed, err := core.NewLabByNameWithStore("MultiSort", st)
-	if err != nil {
-		b.Fatal(err)
-	}
-	if _, err := seed.SweepPareto(context.Background()); err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		b.StopTimer()
-		if _, _, err := st.DropKinds(store.KindWCET); err != nil {
-			b.Fatal(err)
-		}
-		l, err := core.NewLabByNameWithStore("MultiSort", st)
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.StartTimer()
-		if _, err := l.SweepPareto(context.Background()); err != nil {
-			b.Fatal(err)
-		}
-	}
 }

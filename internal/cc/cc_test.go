@@ -405,6 +405,7 @@ func TestCompileErrors(t *testing.T) {
 	expectCompileError(t, `int main() { 3 = 4; return 0; }`, "not assignable")
 	expectCompileError(t, `int main() { return 1 }`, "expected")
 	expectCompileError(t, `void f() { return 3; } int main() { return 0; }`, "void function")
+	expectCompileError(t, `int a[4]; int f(){return 1;} int main(){ a[f()] += 1; return 0; }`, "side-effecting index")
 }
 
 func TestParserErrorsHaveLocations(t *testing.T) {

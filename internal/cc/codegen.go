@@ -535,15 +535,12 @@ func (g *codegen) materializeBool(e Expr, whenTrue bool) {
 
 func (g *codegen) assign(n *Assign) {
 	// Desugar compound assignment: t op= v  →  t = t op v. Array-element
-	// targets re-evaluate the index; MiniC requires index expressions to be
-	// side-effect free in compound assignments (checked cheaply here).
+	// targets re-evaluate the index; sema rejects compound assignments
+	// whose index expression has side effects.
 	value := n.Value
 	if n.Op != "=" {
 		op := n.Op[:len(n.Op)-1]
 		value = &Binary{Op: op, L: n.Target, R: n.Value, Line: n.Line}
-		if ix, ok := n.Target.(*Index); ok && exprHasSideEffects(ix.Idx) {
-			panic(fmt.Sprintf("cc: %d: compound assignment to element with side-effecting index", n.Line))
-		}
 	}
 	switch t := n.Target.(type) {
 	case *VarRef:
@@ -585,20 +582,4 @@ func (g *codegen) assign(n *Assign) {
 	default:
 		panic("cc: unassignable target")
 	}
-}
-
-func exprHasSideEffects(e Expr) bool {
-	switch n := e.(type) {
-	case *Assign, *Call:
-		return true
-	case *Unary:
-		return exprHasSideEffects(n.X)
-	case *Binary:
-		return exprHasSideEffects(n.L) || exprHasSideEffects(n.R)
-	case *Index:
-		return exprHasSideEffects(n.Idx)
-	case *CondExpr:
-		return exprHasSideEffects(n.Cond) || exprHasSideEffects(n.Then) || exprHasSideEffects(n.Else)
-	}
-	return false
 }

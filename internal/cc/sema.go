@@ -224,6 +224,11 @@ func (fs *funcSema) checkExpr(e Expr) error {
 			if g != nil && g.Const {
 				return fmt.Errorf("%d: assignment to const array %q", n.Line, ix.Name)
 			}
+			// Compound assignment evaluates the index twice (t op= v
+			// desugars to t = t op v).
+			if n.Op != "=" && exprHasSideEffects(ix.Idx) {
+				return fmt.Errorf("%d: compound assignment to %q with a side-effecting index", n.Line, ix.Name)
+			}
 		}
 		if err := fs.checkExpr(n.Target); err != nil {
 			return err
@@ -485,6 +490,23 @@ func exprAssignsVar(e Expr, name string) bool {
 		}
 	case *CondExpr:
 		return exprAssignsVar(n.Cond, name) || exprAssignsVar(n.Then, name) || exprAssignsVar(n.Else, name)
+	}
+	return false
+}
+
+// exprHasSideEffects reports whether evaluating e assigns or calls.
+func exprHasSideEffects(e Expr) bool {
+	switch n := e.(type) {
+	case *Assign, *Call:
+		return true
+	case *Unary:
+		return exprHasSideEffects(n.X)
+	case *Binary:
+		return exprHasSideEffects(n.L) || exprHasSideEffects(n.R)
+	case *Index:
+		return exprHasSideEffects(n.Idx)
+	case *CondExpr:
+		return exprHasSideEffects(n.Cond) || exprHasSideEffects(n.Then) || exprHasSideEffects(n.Else)
 	}
 	return false
 }

@@ -99,54 +99,95 @@ func (e *Executable) FindAddr(addr uint32) *Placement {
 	return nil
 }
 
-// Link places the program with the given scratchpad capacity. Objects named
-// in inSPM go to the scratchpad (the allocator guarantees they fit);
-// remaining code and data objects go to the main-memory code and data
-// regions. spmSize 0 produces a system without a scratchpad.
-func Link(p *obj.Program, spmSize uint32, inSPM map[string]bool) (*Executable, error) {
-	if err := p.Validate(); err != nil {
-		return nil, err
-	}
+// ObjLayout is one object's address assignment under a placement, in
+// program (placement) order.
+type ObjLayout struct {
+	Addr  uint32
+	InSPM bool
+}
+
+// Layout is the linker's address walk: it assigns every object of p its
+// address and memory side under one placement, without materialising
+// images. Objects named in inSPM go to the scratchpad (in program order,
+// aligned, within spmSize); remaining code and data objects go to the
+// main-memory code and data regions. Unknown names in inSPM are ignored.
+// Link and both incremental analysis contexts place objects through it.
+func Layout(p *obj.Program, spmSize uint32, inSPM map[string]bool) ([]ObjLayout, error) {
 	if spmSize > SPMMax {
 		return nil, fmt.Errorf("link: scratchpad size %d exceeds maximum %d", spmSize, SPMMax)
 	}
-	e := &Executable{
-		Prog:    p,
-		SPMSize: spmSize,
-		byName:  make(map[string]*Placement, len(p.Objects)),
-	}
+	out := make([]ObjLayout, len(p.Objects))
 	align := func(v, a uint32) uint32 { return (v + a - 1) &^ (a - 1) }
 	spmCur, codeCur, dataCur := SPMBase, CodeBase, DataBase
-	for _, o := range p.Objects {
-		pl := &Placement{Obj: o}
+	for i, o := range p.Objects {
 		switch {
 		case inSPM[o.Name]:
 			if spmSize == 0 {
 				return nil, fmt.Errorf("link: %s allocated to scratchpad but scratchpad size is 0", o.Name)
 			}
 			spmCur = align(spmCur, o.Align)
-			pl.Addr, pl.InSPM = spmCur, true
+			out[i] = ObjLayout{Addr: spmCur, InSPM: true}
 			spmCur += o.Size()
 			if spmCur-SPMBase > spmSize {
 				return nil, fmt.Errorf("link: scratchpad overflow: %s ends at %d, capacity %d", o.Name, spmCur-SPMBase, spmSize)
 			}
 		case o.Kind == obj.Code:
 			codeCur = align(codeCur, o.Align)
-			pl.Addr = codeCur
+			out[i] = ObjLayout{Addr: codeCur}
 			codeCur += o.Size()
 		default:
 			dataCur = align(dataCur, o.Align)
-			pl.Addr = dataCur
+			out[i] = ObjLayout{Addr: dataCur}
 			dataCur += o.Size()
 		}
-		e.Placements = append(e.Placements, pl)
+	}
+	return out, nil
+}
+
+// MovedObjects returns the placement indices of objects whose address or
+// memory side differs between two layouts of the same program.
+func MovedObjects(a, b []ObjLayout) []int {
+	var moved []int
+	for i := range a {
+		if a[i] != b[i] {
+			moved = append(moved, i)
+		}
+	}
+	return moved
+}
+
+// Link places the program with the given scratchpad capacity (see Layout)
+// and resolves relocations into per-placement images. spmSize 0 produces a
+// system without a scratchpad. Link never writes into an object's Data: a
+// placement without relocations shares it as its Image, every other
+// placement gets a freshly patched copy. Images are read-only.
+func Link(p *obj.Program, spmSize uint32, inSPM map[string]bool) (*Executable, error) {
+	if err := p.Validate(); err != nil {
+		return nil, err
+	}
+	lay, err := Layout(p, spmSize, inSPM)
+	if err != nil {
+		return nil, err
+	}
+	e := &Executable{
+		Prog:       p,
+		SPMSize:    spmSize,
+		Placements: make([]*Placement, len(p.Objects)),
+		byName:     make(map[string]*Placement, len(p.Objects)),
+	}
+	for i, o := range p.Objects {
+		pl := &Placement{Obj: o, Addr: lay[i].Addr, InSPM: lay[i].InSPM}
+		e.Placements[i] = pl
 		e.byName[o.Name] = pl
 	}
 
 	// Resolve relocations into per-placement images.
 	for _, pl := range e.Placements {
-		img := make([]byte, len(pl.Obj.Data))
-		copy(img, pl.Obj.Data)
+		if len(pl.Obj.Relocs) == 0 {
+			pl.Image = pl.Obj.Data
+			continue
+		}
+		img := append([]byte(nil), pl.Obj.Data...)
 		for _, r := range pl.Obj.Relocs {
 			tgt, ok := e.byName[r.Target]
 			if !ok {
@@ -186,7 +227,6 @@ func Link(p *obj.Program, spmSize uint32, inSPM map[string]bool) (*Executable, e
 	if p.Main != "" {
 		e.MainAddr = e.byName[p.Main].Addr
 	}
-	mLinkFull.Inc()
 	return e, nil
 }
 

@@ -1,6 +1,7 @@
 package link
 
 import (
+	"bytes"
 	"strings"
 	"testing"
 
@@ -214,5 +215,160 @@ func TestFindAddr(t *testing.T) {
 	}
 	if exe.FindAddr(0xDEAD0000) != nil {
 		t.Error("FindAddr should return nil for unmapped addresses")
+	}
+}
+
+// TestFindAddrBoundaries covers the binary search across an SPM/main split:
+// first and last byte of every placement, the gaps between regions, and
+// addresses beyond every region.
+func TestFindAddrBoundaries(t *testing.T) {
+	p := tinyProgram(t)
+	exe, err := Link(p, 1024, map[string]bool{"helper": true, "g": true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, pl := range exe.Placements {
+		if got := exe.FindAddr(pl.Addr); got != pl {
+			t.Errorf("%s: FindAddr(first byte %#x) = %v", pl.Obj.Name, pl.Addr, got)
+		}
+		if got := exe.FindAddr(pl.End() - 1); got != pl {
+			t.Errorf("%s: FindAddr(last byte %#x) = %v", pl.Obj.Name, pl.End()-1, got)
+		}
+	}
+	// Region boundaries and gaps resolve to nothing.
+	var spmEnd, codeEnd uint32 = SPMBase, CodeBase
+	for _, pl := range exe.Placements {
+		if pl.InSPM && pl.End() > spmEnd {
+			spmEnd = pl.End()
+		}
+		if !pl.InSPM && pl.Obj.Kind == obj.Code && pl.End() > codeEnd {
+			codeEnd = pl.End()
+		}
+	}
+	for _, addr := range []uint32{spmEnd, CodeBase - 1, codeEnd, DataBase - 1, StackBase - 1, 0xDEAD0000} {
+		if got := exe.FindAddr(addr); got != nil {
+			t.Errorf("FindAddr(%#x) = %s, want nil", addr, got.Obj.Name)
+		}
+	}
+	// The split must not leak across regions: SPM placements resolve at SPM
+	// addresses, main placements at main addresses.
+	if pl := exe.FindAddr(exe.Placement("helper").Addr); pl == nil || !pl.InSPM {
+		t.Error("helper's SPM address should resolve to an SPM placement")
+	}
+	if pl := exe.FindAddr(exe.Placement("main").Addr); pl == nil || pl.InSPM {
+		t.Error("main's code address should resolve to a main-memory placement")
+	}
+}
+
+// TestLinkImageSharing pins the image contract: Link never writes into an
+// object's Data, relocation-free placements alias it, and patched images
+// of two placements never share a backing array.
+func TestLinkImageSharing(t *testing.T) {
+	p := tinyProgram(t)
+	orig := make(map[string][]byte, len(p.Objects))
+	for _, o := range p.Objects {
+		orig[o.Name] = append([]byte(nil), o.Data...)
+	}
+	a, err := Link(p, 0, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := Link(p, 1024, map[string]bool{"main": true, "g": true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, o := range p.Objects {
+		if !bytes.Equal(o.Data, orig[o.Name]) {
+			t.Errorf("%s: Link wrote into the object's Data", o.Name)
+		}
+	}
+	for _, exe := range []*Executable{a, b} {
+		for _, pl := range exe.Placements {
+			if len(pl.Obj.Data) == 0 {
+				continue
+			}
+			aliased := &pl.Image[0] == &pl.Obj.Data[0]
+			if len(pl.Obj.Relocs) == 0 && !aliased {
+				t.Errorf("%s: relocation-free image is a copy, want Obj.Data", pl.Obj.Name)
+			}
+			if len(pl.Obj.Relocs) > 0 && aliased {
+				t.Errorf("%s: patched image aliases Obj.Data", pl.Obj.Name)
+			}
+		}
+	}
+	if len(a.Placement("main").Obj.Relocs) == 0 {
+		t.Fatal("main has no relocations to patch")
+	}
+	for _, pa := range a.Placements {
+		if len(pa.Obj.Relocs) == 0 {
+			continue
+		}
+		pb := b.Placement(pa.Obj.Name)
+		if &pa.Image[0] == &pb.Image[0] {
+			t.Errorf("%s: patched images of two placements share a backing array", pa.Obj.Name)
+		}
+	}
+}
+
+// TestLayoutMatchesLink: the address walk alone assigns every object the
+// address and memory side Link places it at, across placement shapes
+// (empty, data or code in SPM, mixed, everything, and an unknown name the
+// walk ignores).
+func TestLayoutMatchesLink(t *testing.T) {
+	p := tinyProgram(t)
+	for _, tc := range []struct {
+		name    string
+		spmSize uint32
+		inSPM   map[string]bool
+	}{
+		{"empty0", 0, nil},
+		{"emptyCap", 512, nil},
+		{"dataOnly", 512, map[string]bool{"g": true}},
+		{"codeOnly", 1024, map[string]bool{"main": true}},
+		{"mixed", 1024, map[string]bool{"helper": true, "g": true}},
+		{"all", 2048, map[string]bool{"main": true, "helper": true, "g": true}},
+		{"unknownName", 512, map[string]bool{"nosuch": true}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			exe, err := Link(p, tc.spmSize, tc.inSPM)
+			if err != nil {
+				t.Fatal(err)
+			}
+			lay, err := Layout(p, tc.spmSize, tc.inSPM)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i, pl := range exe.Placements {
+				if want := (ObjLayout{Addr: pl.Addr, InSPM: pl.InSPM}); lay[i] != want {
+					t.Errorf("%s: layout %+v, linked %+v", pl.Obj.Name, lay[i], want)
+				}
+			}
+		})
+	}
+}
+
+// TestLayoutErrors: infeasible placements fail in the walk with the
+// diagnostics Link reports.
+func TestLayoutErrors(t *testing.T) {
+	p := tinyProgram(t)
+	for _, tc := range []struct {
+		name    string
+		spmSize uint32
+		inSPM   map[string]bool
+	}{
+		{"overflow", 4, map[string]bool{"g": true, "helper": true}},
+		{"zeroSPM", 0, map[string]bool{"g": true}},
+		{"oversize", SPMMax * 2, nil},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			_, linkErr := Link(p, tc.spmSize, tc.inSPM)
+			_, layErr := Layout(p, tc.spmSize, tc.inSPM)
+			if linkErr == nil || layErr == nil {
+				t.Fatalf("want errors from both, got Link=%v Layout=%v", linkErr, layErr)
+			}
+			if layErr.Error() != linkErr.Error() {
+				t.Errorf("diagnostics differ:\nLayout: %v\nLink:   %v", layErr, linkErr)
+			}
+		})
 	}
 }

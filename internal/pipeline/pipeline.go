@@ -149,16 +149,17 @@ type Stats struct {
 	CacheContextBuilds, CacheContextReuses uint64
 	CacheFuncsReanalyzed, CacheFuncs       uint64
 
-	// FullLinks counts base layouts linked from scratch (one per prepared
-	// partition); DeltaLinks counts placements patched from a prepared base.
-	// RelocsResolved / RelocsReused split the relocation sites those delta
-	// relinks re-resolved vs reused byte-exact from the base images.
+	// FullLinks, DeltaLinks, RelocsResolved and RelocsReused are frozen:
+	// they remain only because the wcetbench harness (a separate module
+	// whose source is pinned with its benchmark definition) still reads
+	// them. Every link is a full link, so FullLinks always equals Links and
+	// the other three are always zero.
 	FullLinks, DeltaLinks        uint64
 	RelocsResolved, RelocsReused uint64
 
 	// SolverStateHits / SolverStateMisses: per-function IPET solves served
-	// from recorded solver state (in-process or store-imported) vs solves
-	// that had to run.
+	// from an analysis context's in-process solution memo vs solves that
+	// had to run.
 	SolverStateHits, SolverStateMisses uint64
 
 	SimDiskHits, SimDiskMisses         uint64
@@ -202,9 +203,6 @@ func (s *Stats) Add(o Stats) {
 	s.CacheFuncsReanalyzed += o.CacheFuncsReanalyzed
 	s.CacheFuncs += o.CacheFuncs
 	s.FullLinks += o.FullLinks
-	s.DeltaLinks += o.DeltaLinks
-	s.RelocsResolved += o.RelocsResolved
-	s.RelocsReused += o.RelocsReused
 	s.SolverStateHits += o.SolverStateHits
 	s.SolverStateMisses += o.SolverStateMisses
 	s.SimDiskHits += o.SimDiskHits
@@ -234,7 +232,6 @@ type Pipeline struct {
 	disk     *store.Store
 	splits   map[string]*entry[*obj.Program]
 	links    map[string]*entry[*link.Executable]
-	prepared map[string]*entry[*link.Prepared]
 	sims     map[string]*entry[*sim.Result]
 	analyses map[string]*analysisEntry
 	contexts map[string]*entry[*wcet.Context]
@@ -242,10 +239,9 @@ type Pipeline struct {
 	allocs   map[string]*entry[*Allocation]
 	profile  *entry[*sim.Profile]
 	stats    Stats
-	// preps/ctxList/cctxList register successfully built prepared linkers
-	// and analysis contexts; Stats folds in their atomic counters without
-	// touching entry locks (which an in-flight compute may hold).
-	preps    []*link.Prepared
+	// ctxList/cctxList register successfully built analysis contexts;
+	// Stats folds in their atomic counters without touching entry locks
+	// (which an in-flight compute may hold).
 	ctxList  []*wcet.Context
 	cctxList []*wcet.CacheContext
 
@@ -351,7 +347,6 @@ func NewNamed(prog *obj.Program, bench string) *Pipeline {
 		Prog:     prog,
 		splits:   make(map[string]*entry[*obj.Program]),
 		links:    make(map[string]*entry[*link.Executable]),
-		prepared: make(map[string]*entry[*link.Prepared]),
 		sims:     make(map[string]*entry[*sim.Result]),
 		analyses: make(map[string]*analysisEntry),
 		contexts: make(map[string]*entry[*wcet.Context]),
@@ -495,7 +490,7 @@ func (p *Pipeline) LinkUnits(ctx context.Context, regions []obj.Region, spmSize 
 	}
 	return e.get(func() (*link.Executable, error) {
 		sp.SetAttr("tier", "compute")
-		prep, err := p.preparedFor(regions)
+		prog, err := p.SplitProgram(regions)
 		if err != nil {
 			return nil, err
 		}
@@ -509,40 +504,10 @@ func (p *Pipeline) LinkUnits(ctx context.Context, regions []obj.Region, spmSize 
 			p.debugStage(ctx, "link", key, d)
 		}()
 		if strings.HasSuffix(key, "spm=0|") {
-			// Normalised empty placement: capacity-independent (and the
-			// prepared base layout verbatim).
-			return prep.Relink(0, nil)
+			// Normalised empty placement: capacity-independent.
+			return link.Link(prog, 0, nil)
 		}
-		return prep.Relink(spmSize, inSPM)
-	})
-}
-
-// preparedFor returns (memoized, singleflight) the partition's prepared
-// delta linker: the capacity-0 base layout, its resolved images and the
-// reverse relocation index, built once; every placement of the partition is
-// then a patch of that base rather than a from-scratch link.
-func (p *Pipeline) preparedFor(regions []obj.Region) (*link.Prepared, error) {
-	key := unitPrefix(regions)
-	p.mu.Lock()
-	e, ok := p.prepared[key]
-	if !ok {
-		e = &entry[*link.Prepared]{}
-		p.prepared[key] = e
-	}
-	p.mu.Unlock()
-	return e.get(func() (*link.Prepared, error) {
-		prog, err := p.SplitProgram(regions)
-		if err != nil {
-			return nil, err
-		}
-		prep, err := link.Prepare(prog)
-		if err != nil {
-			return nil, err
-		}
-		p.mu.Lock()
-		p.preps = append(p.preps, prep)
-		p.mu.Unlock()
-		return prep, nil
+		return link.Link(prog, spmSize, inSPM)
 	})
 }
 
@@ -673,7 +638,6 @@ func (p *Pipeline) AnalyzeUnits(ctx context.Context, regions []obj.Region, spmSi
 			p.om.upgrades.Inc()
 		}
 		sp.SetAttr("tier", "compute")
-		var usedCtx *wcet.Context
 		if opts.Cache == nil {
 			// Cache-less analyses share a reusable context per partition:
 			// the CFG and IPET skeletons are built once, each placement only
@@ -683,7 +647,6 @@ func (p *Pipeline) AnalyzeUnits(ctx context.Context, regions []obj.Region, spmSi
 			if err != nil {
 				e.res, e.err = nil, err
 			} else {
-				usedCtx = wctx
 				p.count(func(s *Stats) {
 					if built {
 						s.ContextBuilds++
@@ -740,16 +703,6 @@ func (p *Pipeline) AnalyzeUnits(ctx context.Context, regions []obj.Region, spmSi
 			p.storeSave(func(disk *store.Store) error {
 				return disk.SaveWCET(p.programKey(), key, e.res)
 			})
-			if usedCtx != nil && p.diskStore() != nil {
-				// Persist newly recorded solver state so the next cold
-				// process inherits a warm solver, not just memoized results.
-				if st, dirty := usedCtx.ExportStateIfDirty(); dirty {
-					skey := solverStateKey(contextKey(regions, opts))
-					p.storeSave(func(disk *store.Store) error {
-						return disk.SaveSolverState(p.programKey(), skey, st)
-					})
-				}
-			}
 		}
 	}
 	return e.res, e.err
@@ -779,15 +732,6 @@ func (p *Pipeline) contextFor(ctx context.Context, regions []obj.Region, opts wc
 		if err != nil {
 			return nil, err
 		}
-		// Cross-process warm start: seed the fresh context with the solver
-		// state a previous process persisted for this exact configuration.
-		// Deliberately outside the stage disk-hit/miss counters — it is a
-		// solver seed, not a served artifact.
-		if disk := p.diskStore(); disk != nil {
-			if st, ok := disk.LoadSolverState(p.programKey(), solverStateKey(key)); ok {
-				c.ImportState(st)
-			}
-		}
 		p.mu.Lock()
 		p.ctxList = append(p.ctxList, c)
 		p.mu.Unlock()
@@ -805,8 +749,8 @@ func contextKey(regions []obj.Region, opts wcet.Options) string {
 
 // cacheContextFor returns (memoized, singleflight) the reusable cache
 // analysis context for one partition and cache shape, built from the
-// partition's prepared linker. built reports whether this call did the
-// cold build.
+// partition's scratchpad-less base link. built reports whether this call
+// did the cold build.
 func (p *Pipeline) cacheContextFor(ctx context.Context, regions []obj.Region, opts wcet.Options) (*wcet.CacheContext, bool, error) {
 	key := cacheContextKey(regions, opts)
 	p.mu.Lock()
@@ -818,13 +762,12 @@ func (p *Pipeline) cacheContextFor(ctx context.Context, regions []obj.Region, op
 	p.mu.Unlock()
 	built := false
 	cctx, err := e.get(func() (*wcet.CacheContext, error) {
-		_ = ctx // the build is pure compute; spans attach per Analyze
-		prep, err := p.preparedFor(regions)
+		base, err := p.LinkUnits(ctx, regions, 0, nil)
 		if err != nil {
 			return nil, err
 		}
 		built = true
-		c, err := wcet.NewCacheContext(prep, opts)
+		c, err := wcet.NewCacheContext(base, opts)
 		if err != nil {
 			return nil, err
 		}
@@ -849,9 +792,6 @@ func cacheContextKey(regions []obj.Region, opts wcet.Options) string {
 	return fmt.Sprintf("%scacheshape=%d/%d/%s|stack=%d|root=%s",
 		unitPrefix(regions), cc.LineSize, cc.Assoc, kind, opts.StackBound, opts.Root)
 }
-
-// solverStateKey is the store stage key persisting a context's solver state.
-func solverStateKey(ctxKey string) string { return "solverstate|" + ctxKey }
 
 // Profile collects (memoized) the typical-input access profile on the
 // baseline system (no scratchpad, no cache), consulting the disk tier
@@ -1030,20 +970,12 @@ func StageLatency(bench string) map[string]obs.HistogramSnapshot {
 func (p *Pipeline) Stats() Stats {
 	p.mu.Lock()
 	s := p.stats
-	preps := append([]*link.Prepared(nil), p.preps...)
 	ctxs := append([]*wcet.Context(nil), p.ctxList...)
 	cctxs := append([]*wcet.CacheContext(nil), p.cctxList...)
 	p.mu.Unlock()
-	// Fold in the delta-link and solver-state counters from the registered
-	// objects' atomics — never their locks, which an in-flight compute may
-	// hold for the length of a solve.
-	s.FullLinks = uint64(len(preps))
-	for _, prep := range preps {
-		rs := prep.Stats()
-		s.DeltaLinks += rs.Relinks
-		s.RelocsResolved += rs.RelocsResolved
-		s.RelocsReused += rs.RelocsReused
-	}
+	s.FullLinks = s.Links
+	// Fold in the contexts' counters from their atomics — never their
+	// locks, which an in-flight compute may hold for the length of a solve.
 	for _, c := range ctxs {
 		h, m := c.StateCounts()
 		s.SolverStateHits += h

@@ -35,6 +35,7 @@ import (
 	"io/fs"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strings"
 	"time"
@@ -81,11 +82,14 @@ const (
 	// KindAlloc is a scratchpad allocation solve (pipeline.Allocation
 	// fields), keyed by the allocator's ConfigKey and the capacity.
 	KindAlloc Kind = 4
-	// KindSolverState is an analysis context's recorded per-function IPET
-	// solutions (wcet.SolverState), keyed by the context configuration; a
-	// cold process imports it to skip re-proving unchanged functions.
-	KindSolverState Kind = 5
+	// Kind 5 held persisted IPET solver state in earlier versions. It is
+	// retired and must never be reused: stores written by those versions
+	// may still hold kind-5 entries, which Sweep and GC remove.
 )
+
+// liveKinds are the kinds this version reads and writes. An entry of any
+// other kind is unreadable here and is treated like a corrupt one.
+var liveKinds = []Kind{KindSim, KindWCET, KindProfile, KindAlloc}
 
 func (k Kind) String() string {
 	switch k {
@@ -97,15 +101,13 @@ func (k Kind) String() string {
 		return "profile"
 	case KindAlloc:
 		return "alloc"
-	case KindSolverState:
-		return "solverstate"
 	}
 	return fmt.Sprintf("kind(%d)", uint16(k))
 }
 
 // ParseKind maps a kind's String() name back to the Kind.
 func ParseKind(s string) (Kind, error) {
-	for _, k := range []Kind{KindSim, KindWCET, KindProfile, KindAlloc, KindSolverState} {
+	for _, k := range liveKinds {
 		if k.String() == s {
 			return k, nil
 		}
@@ -200,6 +202,9 @@ func parseEntry(raw []byte) (payload []byte, kind Kind, ok bool) {
 		return nil, 0, false
 	}
 	kind = Kind(binary.LittleEndian.Uint16(raw[6:8]))
+	if !slices.Contains(liveKinds, kind) {
+		return nil, 0, false // retired or unknown kind
+	}
 	n := binary.LittleEndian.Uint64(raw[8:16])
 	payload = raw[headerSize:]
 	if n != uint64(len(payload)) {
@@ -324,28 +329,9 @@ func (s *Store) SaveAlloc(progKey, stageKey string, a *AllocArtifact) error {
 	return s.write(KindAlloc, progKey, stageKey, EncodeAlloc(a))
 }
 
-// LoadSolverState returns the persisted solver state for a context key, or
-// (nil, false) on a miss.
-func (s *Store) LoadSolverState(progKey, stageKey string) (*wcet.SolverState, bool) {
-	payload := s.read(KindSolverState, progKey, stageKey)
-	if payload == nil {
-		return nil, false
-	}
-	st, err := DecodeSolverState(payload)
-	if err != nil {
-		return nil, false
-	}
-	return st, true
-}
-
-// SaveSolverState persists an analysis context's recorded solver state.
-func (s *Store) SaveSolverState(progKey, stageKey string, st *wcet.SolverState) error {
-	return s.write(KindSolverState, progKey, stageKey, EncodeSolverState(st))
-}
-
 // DropKinds removes every (non-corrupt) entry of the given kinds, returning
 // the number of files removed and bytes freed. Used to evict one artifact
-// tier — e.g. dropping analyses while keeping solver state warm.
+// tier — e.g. dropping analyses while keeping simulations warm.
 func (s *Store) DropKinds(kinds ...Kind) (removed int, freed int64, err error) {
 	want := make(map[Kind]bool, len(kinds))
 	for _, k := range kinds {
@@ -397,7 +383,8 @@ type Entry struct {
 	Size int64
 	// ModTime is the entry file's modification time (its write time).
 	ModTime time.Time
-	// Corrupt marks an entry whose header or checksum failed validation.
+	// Corrupt marks an entry whose header or checksum failed validation,
+	// or whose kind is not a live one.
 	Corrupt bool
 }
 
@@ -460,8 +447,9 @@ func (s *Store) Usage() (entries int, bytes int64, err error) {
 	return entries, bytes, nil
 }
 
-// Sweep removes corrupt entries and stale temporary files (left behind by
-// a crashed writer) and returns how many files it removed.
+// Sweep removes corrupt entries (including entries of retired kinds) and
+// stale temporary files (left behind by a crashed writer) and returns how
+// many files it removed.
 func (s *Store) Sweep() (removed int, err error) {
 	return s.clean(func(Entry) bool { return false })
 }

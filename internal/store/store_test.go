@@ -418,6 +418,65 @@ func TestIndexSweepGC(t *testing.T) {
 	}
 }
 
+// TestSweepRemovesRetiredKinds: entries of kind 5 (solver state, written by
+// earlier versions) are flagged by the index, removed by Sweep and by
+// GCPolicy, and the live kinds beside them survive.
+func TestSweepRemovesRetiredKinds(t *testing.T) {
+	prog, simRes, _, wres, _ := artifacts(t)
+	pk := store.ProgramKey(prog)
+	for _, name := range []string{"sweep", "gcpolicy"} {
+		t.Run(name, func(t *testing.T) {
+			s := open(t)
+			if err := s.SaveSim(pk, "sim", simRes); err != nil {
+				t.Fatal(err)
+			}
+			if err := s.SaveWCET(pk, "wcet", wres); err != nil {
+				t.Fatal(err)
+			}
+			if err := store.WriteRaw(s, store.Kind(5), pk, "solverstate|stack=0|root=", []byte{0, 0, 0, 0}); err != nil {
+				t.Fatal(err)
+			}
+			entries, err := s.Index()
+			if err != nil {
+				t.Fatal(err)
+			}
+			corrupt := 0
+			for _, e := range entries {
+				if e.Corrupt {
+					corrupt++
+				}
+			}
+			if len(entries) != 3 || corrupt != 1 {
+				t.Fatalf("index: %d entries, %d flagged; want 3 and 1", len(entries), corrupt)
+			}
+			var removed int
+			if name == "sweep" {
+				removed, err = s.Sweep()
+			} else {
+				removed, _, err = s.GCPolicy(time.Now(), store.Policy{})
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			if removed != 1 {
+				t.Errorf("removed %d files, want the one kind-5 entry", removed)
+			}
+			if _, ok := s.LoadSim(pk, "sim"); !ok {
+				t.Error("sim entry lost")
+			}
+			if _, ok := s.LoadWCET(pk, "wcet", false); !ok {
+				t.Error("wcet entry lost")
+			}
+			if n, _, err := s.Usage(); err != nil || n != 2 {
+				t.Errorf("usage after removal: %d entries (%v), want 2", n, err)
+			}
+		})
+	}
+	if _, err := store.ParseKind("solverstate"); err == nil {
+		t.Error("ParseKind accepts the retired solverstate kind")
+	}
+}
+
 // TestProgramKeySensitivity: the program hash must be reproducible across
 // compilations and must change when any content influencing placement or
 // analysis changes.

@@ -168,7 +168,7 @@ func putCapped[V any](m map[string]V, k string, v V) {
 // intra-procedural solve on exactly the inputs it reads: the cache size,
 // the (address, side) layout of the function's object footprint, its entry
 // state and its callees' exit states. Between two placements, the
-// link.Prepared layout walk names the moved objects; functions whose
+// link.Layout address walk names the moved objects; functions whose
 // footprint is layout-stable and whose entry/callee-exit states are
 // unchanged hit the memo and keep their per-block classifications verbatim
 // — only functions touching moved objects, plus transitive callers and
@@ -182,8 +182,7 @@ func putCapped[V any](m map[string]V, k string, v V) {
 // serialise.
 type CacheContext struct {
 	mu      sync.Mutex
-	prep    *link.Prepared
-	base    *link.Executable
+	base    *link.Executable // base link: spmSize 0, nothing placed
 	g       *cfg.Graph
 	order   []string // callees-first
 	root    string
@@ -216,15 +215,18 @@ type CacheContext struct {
 	funcsReanalyzed, funcsIn atomic.Uint64
 }
 
-// NewCacheContext builds the reusable cache-path analysis context from a
-// prepared linker. The context is anchored to the prepared base layout
-// (capacity 0); opts.Cache supplies the cache shape — its Size is ignored
-// and chosen per Analyze, so one context serves a whole capacity sweep.
-func NewCacheContext(prep *link.Prepared, opts Options) (*CacheContext, error) {
+// NewCacheContext builds the reusable cache-path analysis context for the
+// program behind the given base executable, which must be linked without a
+// scratchpad (spmSize 0): the symbolic access streams are anchored to its
+// layout. opts.Cache supplies the cache shape — its Size is ignored and
+// chosen per Analyze, so one context serves a whole capacity sweep.
+func NewCacheContext(base *link.Executable, opts Options) (*CacheContext, error) {
 	if opts.Cache == nil {
 		return nil, fmt.Errorf("wcet: cache context needs a cache configuration")
 	}
-	base := prep.Base()
+	if base.SPMSize != 0 {
+		return nil, fmt.Errorf("wcet: cache context needs a scratchpad-less base link")
+	}
 	root := opts.Root
 	if root == "" {
 		root = base.Prog.Entry
@@ -248,7 +250,7 @@ func NewCacheContext(prep *link.Prepared, opts Options) (*CacheContext, error) {
 	shape.Size = 0
 
 	c := &CacheContext{
-		prep: prep, base: base, g: g, order: order, root: root,
+		base: base, g: g, order: order, root: root,
 		stackLo: stackLo, shape: shape,
 		objIdx:   make(map[string]int32, len(base.Placements)),
 		objName:  make([]string, len(base.Placements)),
@@ -699,7 +701,7 @@ func (c *CacheContext) Analyze(cacheSize, spmSize uint32, inSPM map[string]bool,
 
 	// Link-identical error precedence: the layout walk first (the cold path
 	// links before analysing), then the full cache validation.
-	lay, err := c.prep.Layout(spmSize, inSPM)
+	lay, err := link.Layout(c.base.Prog, spmSize, inSPM)
 	if err != nil {
 		return nil, err
 	}

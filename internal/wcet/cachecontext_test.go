@@ -31,17 +31,17 @@ int main() {
     return acc;
 }`
 
-func prepProg(t *testing.T, src string) *link.Prepared {
+func prepProg(t *testing.T, src string) *link.Executable {
 	t.Helper()
 	prog, err := cc.Compile(src)
 	if err != nil {
 		t.Fatal(err)
 	}
-	pr, err := link.Prepare(prog)
+	base, err := link.Link(prog, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return pr
+	return base
 }
 
 // TestCacheContextMatchesCold drives one CacheContext through a sweep of
@@ -89,7 +89,7 @@ func TestCacheContextMatchesCold(t *testing.T) {
 				if pass > 0 {
 					continue // identical inputs: pass 0 already verified
 				}
-				exe, err := link.Link(pr.Base().Prog, st.spmSize, st.inSPM)
+				exe, err := link.Link(pr.Prog, st.spmSize, st.inSPM)
 				if err != nil {
 					t.Fatalf("assoc %d step %d: link: %v", assoc, i, err)
 				}
@@ -141,7 +141,7 @@ func TestCacheContextInstructionOnly(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		exe, err := link.Link(pr.Base().Prog, 0, nil)
+		exe, err := link.Link(pr.Prog, 0, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -191,7 +191,7 @@ func TestCacheContextErrorsMatchLink(t *testing.T) {
 	}
 	// Scratchpad overflow: same message as link.Link.
 	_, warmErr := ctx.Analyze(128, 4, map[string]bool{"table": true}, false)
-	_, coldErr := link.Link(pr.Base().Prog, 4, map[string]bool{"table": true})
+	_, coldErr := link.Link(pr.Prog, 4, map[string]bool{"table": true})
 	if warmErr == nil || coldErr == nil || warmErr.Error() != coldErr.Error() {
 		t.Fatalf("overflow: warm %v, cold link %v", warmErr, coldErr)
 	}

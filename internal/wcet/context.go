@@ -3,6 +3,8 @@ package wcet
 import (
 	"fmt"
 	"sort"
+	"strconv"
+	"strings"
 	"sync"
 	"sync/atomic"
 
@@ -33,6 +35,10 @@ var (
 		"Per-function IPET re-solves across all context analyses.")
 	mCtxFuncsTotal = obs.Default.Counter("wcetlab_context_funcs_total",
 		"Functions in scope across all context analyses (solved + reused).")
+	mSolverHits = obs.Default.Counter("wcetlab_solver_state_hits_total",
+		"Per-function IPET solves served from recorded solver state.")
+	mSolverMisses = obs.Default.Counter("wcetlab_solver_state_misses_total",
+		"Per-function IPET solves that ran because no recorded state matched.")
 )
 
 // ContextStats are one Context's cumulative reuse counters, for tests and
@@ -49,10 +55,6 @@ type ContextStats struct {
 	// scope, summed over analyses.
 	FuncsSolved uint64
 	FuncsTotal  uint64
-	// StateHits / StateMisses: solves served from recorded solver state vs
-	// solves that had to run (misses + hits + unchanged-skips = FuncsTotal).
-	StateHits   uint64
-	StateMisses uint64
 }
 
 // ctxRef is one placement-dependent data access of a block, aggregated per
@@ -106,6 +108,18 @@ type ctxFunc struct {
 	// sorted. Together they define the solve-input signature (funcSig).
 	depObjs []string
 	callees []string
+	// memo records every solution this function has had, by the input
+	// signature it was solved under.
+	memo map[string]funcSolution
+}
+
+// funcSolution is a memoized IPET solution in compact form: edge counts
+// are a slice in the function's IPET edge order rather than a map, which
+// keeps a long sweep's memo small.
+type funcSolution struct {
+	wcet   uint64
+	blocks []uint64
+	edges  []uint64
 }
 
 // Context is a reusable analysis context: everything placement-independent
@@ -141,12 +155,8 @@ type Context struct {
 	cur     map[string]bool
 	nblocks uint64
 	stats   ContextStats
-	// state records solved per-function solutions by input signature
-	// (funcSig); stateDirty marks recordings not yet exported.
-	state      map[string]map[string]FuncSolution
-	stateDirty bool
-	// Hit/miss counters are atomics so stats readers never block on an
-	// in-flight analysis.
+	// Solver-memo hit/miss counters are atomics so stats readers never
+	// block on an in-flight analysis.
 	stateHits, stateMisses atomic.Uint64
 }
 
@@ -186,7 +196,6 @@ func NewContext(exe *link.Executable, opts Options) (*Context, error) {
 		funcs: make(map[string]*ctxFunc, len(order)),
 		deps:  make(map[string][]*ctxBlock),
 		cur:   make(map[string]bool),
-		state: make(map[string]map[string]FuncSolution),
 	}
 	for _, name := range order {
 		f := g.Funcs[name]
@@ -199,6 +208,7 @@ func NewContext(exe *link.Executable, opts Options) (*Context, error) {
 			prep:   lp.Prepare(&lp.Problem{NumVars: ip.n, Cons: ip.cons}),
 			blocks: make([]*ctxBlock, len(f.Blocks)),
 			dirty:  true,
+			memo:   make(map[string]funcSolution),
 		}
 		for _, b := range f.Blocks {
 			cb, err := c.decompose(f, b)
@@ -324,30 +334,19 @@ func (cb *ctxBlock) price(inSPM map[string]bool) int64 {
 	return total
 }
 
-// validate replicates the linker's scratchpad placement walk (alignment,
-// capacity, zero-size scratchpad) with identical diagnostics, and returns
-// the effective placement — inSPM restricted to the program's objects, as
-// the linker silently ignores unknown names.
+// validate runs the linker's address walk (identical diagnostics) and
+// returns the effective placement — inSPM restricted to the program's
+// objects, as the linker silently ignores unknown names.
 func (c *Context) validate(spmSize uint32, inSPM map[string]bool) (map[string]bool, error) {
-	if spmSize > link.SPMMax {
-		return nil, fmt.Errorf("link: scratchpad size %d exceeds maximum %d", spmSize, link.SPMMax)
+	lay, err := link.Layout(c.exe.Prog, spmSize, inSPM)
+	if err != nil {
+		return nil, err
 	}
 	eff := make(map[string]bool, len(inSPM))
-	align := func(v, a uint32) uint32 { return (v + a - 1) &^ (a - 1) }
-	spmCur := link.SPMBase
-	for _, o := range c.exe.Prog.Objects {
-		if !inSPM[o.Name] {
-			continue
+	for i, l := range lay {
+		if l.InSPM {
+			eff[c.exe.Prog.Objects[i].Name] = true
 		}
-		if spmSize == 0 {
-			return nil, fmt.Errorf("link: %s allocated to scratchpad but scratchpad size is 0", o.Name)
-		}
-		spmCur = align(spmCur, o.Align)
-		spmCur += o.Size()
-		if spmCur-link.SPMBase > spmSize {
-			return nil, fmt.Errorf("link: scratchpad overflow: %s ends at %d, capacity %d", o.Name, spmCur-link.SPMBase, spmSize)
-		}
-		eff[o.Name] = true
 	}
 	return eff, nil
 }
@@ -417,12 +416,12 @@ func (c *Context) Analyze(spmSize uint32, inSPM map[string]bool, witness bool) (
 			}
 		}
 		if need {
-			// Recorded-state fast path: an identical signature means an
-			// identical objective over the same skeleton, so the recorded
-			// solution is what solveFunc would compute.
+			// Memo fast path: an identical signature means an identical
+			// objective over the same skeleton, so the recorded solution
+			// is what solveFunc would compute.
 			sig := c.funcSig(cf)
-			if fs, ok := c.lookupState(name, sig); ok {
-				c.adopt(cf, fs, changed)
+			if fs, ok := cf.memo[sig]; ok {
+				c.adopt(cf, cf.expand(fs), changed)
 				c.stateHits.Add(1)
 				mSolverHits.Inc()
 			} else {
@@ -432,7 +431,7 @@ func (c *Context) Analyze(spmSize uint32, inSPM map[string]bool, witness bool) (
 				solved++
 				c.stateMisses.Add(1)
 				mSolverMisses.Inc()
-				c.recordState(cf, sig)
+				cf.memo[sig] = cf.compact()
 			}
 		}
 		res.PerFunction[name] = cf.wcet
@@ -479,11 +478,60 @@ func (c *Context) solveFunc(cf *ctxFunc, changed map[string]bool) error {
 	if err != nil {
 		return err
 	}
+	c.adopt(cf, sol, changed)
+	return nil
+}
+
+// funcSig is the function's solve-input signature under the context's
+// current placement: the scratchpad-resident subset of the objects its block
+// costs depend on, then each callee's current bound. Two solves with equal
+// signatures have identical objectives (the constraint skeleton is static),
+// and the solver is deterministic, so equal signatures imply equal solutions.
+func (c *Context) funcSig(cf *ctxFunc) string {
+	var sb strings.Builder
+	for _, d := range cf.depObjs {
+		if c.cur[d] {
+			sb.WriteString(d)
+			sb.WriteByte(',')
+		}
+	}
+	sb.WriteByte('|')
+	for _, callee := range cf.callees {
+		sb.WriteString(callee)
+		sb.WriteByte('=')
+		var buf [20]byte
+		sb.Write(strconv.AppendUint(buf[:0], c.funcs[callee].wcet, 10))
+		sb.WriteByte(',')
+	}
+	return sb.String()
+}
+
+// compact returns the function's current solution in memo form. Solutions
+// are never mutated once built, so the block counts are shared.
+func (cf *ctxFunc) compact() funcSolution {
+	edges := make([]uint64, len(cf.ip.edges))
+	for i, ev := range cf.ip.edges {
+		edges[i] = cf.sol.edges[ev.e]
+	}
+	return funcSolution{wcet: cf.wcet, blocks: cf.sol.blocks, edges: edges}
+}
+
+// expand is the inverse of compact.
+func (cf *ctxFunc) expand(fs funcSolution) *ipetSolution {
+	sol := &ipetSolution{wcet: fs.wcet, blocks: fs.blocks, edges: make(map[*cfg.Edge]uint64, len(cf.ip.edges))}
+	for i, ev := range cf.ip.edges {
+		sol.edges[ev.e] = fs.edges[i]
+	}
+	return sol
+}
+
+// adopt installs sol as the function's current solution, marking the
+// function in changed when its bound moved.
+func (c *Context) adopt(cf *ctxFunc, sol *ipetSolution, changed map[string]bool) {
 	if cf.sol == nil || sol.wcet != cf.wcet {
 		changed[cf.f.Name] = true
 	}
 	cf.sol, cf.wcet, cf.dirty = sol, sol.wcet, false
-	return nil
 }
 
 // rebuildWitness composes the cached per-function solutions and access
@@ -561,10 +609,13 @@ func (c *Context) Root() string { return c.root }
 func (c *Context) Stats() ContextStats {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	s := c.stats
-	s.StateHits = c.stateHits.Load()
-	s.StateMisses = c.stateMisses.Load()
-	return s
+	return c.stats
+}
+
+// StateCounts returns the solver memo's hit/miss counters. Safe to call
+// without blocking an in-flight analysis.
+func (c *Context) StateCounts() (hits, misses uint64) {
+	return c.stateHits.Load(), c.stateMisses.Load()
 }
 
 // sortedNames returns the set's keys in sorted order.
