@@ -260,10 +260,11 @@ func TestFindAddrBoundaries(t *testing.T) {
 	}
 }
 
-// TestLinkImageSharing pins the image contract: Link never writes into an
-// object's Data, relocation-free placements alias it, and patched images
-// of two placements never share a backing array.
-func TestLinkImageSharing(t *testing.T) {
+// TestPreparedRelinkSharesCleanImages pins the image contract: Link never
+// writes into an object's Data, relocation-free placements alias it, and
+// patched images of two placements never share a backing array. The name
+// dates from the prepared relinker, which held the same contract.
+func TestPreparedRelinkSharesCleanImages(t *testing.T) {
 	p := tinyProgram(t)
 	orig := make(map[string][]byte, len(p.Objects))
 	for _, o := range p.Objects {
@@ -310,11 +311,12 @@ func TestLinkImageSharing(t *testing.T) {
 	}
 }
 
-// TestLayoutMatchesLink: the address walk alone assigns every object the
-// address and memory side Link places it at, across placement shapes
-// (empty, data or code in SPM, mixed, everything, and an unknown name the
-// walk ignores).
-func TestLayoutMatchesLink(t *testing.T) {
+// TestPreparedRelinkMatchesLink: the address walk alone (Layout) assigns
+// every object the address and memory side Link places it at, across
+// placement shapes (empty, data or code in SPM, mixed, everything, and an
+// unknown name the walk ignores). The name dates from the prepared
+// relinker, whose walk this test once compared against Link.
+func TestPreparedRelinkMatchesLink(t *testing.T) {
 	p := tinyProgram(t)
 	for _, tc := range []struct {
 		name    string
@@ -347,9 +349,9 @@ func TestLayoutMatchesLink(t *testing.T) {
 	}
 }
 
-// TestLayoutErrors: infeasible placements fail in the walk with the
-// diagnostics Link reports.
-func TestLayoutErrors(t *testing.T) {
+// TestPreparedRelinkErrors: infeasible placements fail in Layout with the
+// diagnostics Link reports. The name dates from the prepared relinker.
+func TestPreparedRelinkErrors(t *testing.T) {
 	p := tinyProgram(t)
 	for _, tc := range []struct {
 		name    string
