@@ -444,7 +444,7 @@ func BenchmarkCacheSweepWarm(b *testing.B) {
 		b.Fatal(err)
 	}
 	ccfg := cache.Config{}
-	cctx, err := wcet.NewCacheContext(base, wcet.Options{Cache: &ccfg, StackBound: l.StackBound})
+	cctx, err := wcet.NewContext(base, wcet.Options{Cache: &ccfg, StackBound: l.StackBound})
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -455,7 +455,7 @@ func servePprof(ctx context.Context, addr string) error {
 	if err != nil {
 		return fmt.Errorf("pprof: %w", err)
 	}
-	srv := &http.Server{Handler: mux}
+	srv := &http.Server{Handler: mux, ReadHeaderTimeout: service.ReadHeaderTimeout, IdleTimeout: service.IdleTimeout}
 	obs.Info(ctx, "pprof listening", obs.A("addr", fmt.Sprintf("http://%s/debug/pprof/", ln.Addr())))
 	go srv.Serve(ln)
 	go func() {
@@ -621,13 +621,15 @@ func printIncrementalStats(labs []*core.Lab) {
 	fmt.Printf("solver state:      %d hits, %d misses\n", stateHits, stateMisses)
 }
 
-// printStageLatency renders per-stage latency quantiles (p50/p95/max,
-// milliseconds) from the process-wide metric registry's histograms. It is
-// printed after "Pipeline statistics" so warm-store output comparisons,
-// which stop at that header, are unaffected by timing noise.
+// printStageLatency renders per-stage latency (milliseconds) from the
+// process-wide metric registry's histograms. The p50/p95 columns are the
+// upper bounds of the fixed histogram buckets holding those quantiles
+// (capped at the max), not exact quantiles; max is exact. It is printed
+// after "Pipeline statistics" so warm-store output comparisons, which stop
+// at that header, are unaffected by timing noise.
 func printStageLatency(labs []*core.Lab) {
-	header("Stage latency quantiles")
-	fmt.Printf("%-14s %-9s %7s %9s %9s %9s\n", "benchmark", "stage", "count", "p50[ms]", "p95[ms]", "max[ms]")
+	header("Stage latency (bucket upper bounds)")
+	fmt.Printf("%-14s %-9s %7s %9s %9s %9s\n", "benchmark", "stage", "count", "p50≤[ms]", "p95≤[ms]", "max[ms]")
 	stages := []string{"link", "simulate", "analyze", "profile", "alloc"}
 	row := func(name string, lat map[string]obs.HistogramSnapshot) {
 		for _, st := range stages {

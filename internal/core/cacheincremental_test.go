@@ -95,7 +95,7 @@ func TestCacheContextSavesReanalysis(t *testing.T) {
 		t.Fatal(err)
 	}
 	ccfg := cache.Config{}
-	cctx, err := wcet.NewCacheContext(base, wcet.Options{Cache: &ccfg})
+	cctx, err := wcet.NewContext(base, wcet.Options{Cache: &ccfg})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -136,16 +136,16 @@ type Stats struct {
 	Profiles, ProfileHits uint64
 	Allocs, AllocHits     uint64
 
-	// ContextBuilds counts reusable analysis contexts built (cold: CFG +
-	// IPET skeletons + cost decomposition); ContextReuses counts cold
-	// analyses served by re-pricing an existing context instead.
+	// ContextBuilds counts reusable analysis contexts without a cache
+	// domain built (cold: CFG + IPET skeletons + block decomposition);
+	// ContextReuses counts cold cache-less analyses served by an existing
+	// context instead.
 	ContextBuilds, ContextReuses uint64
 
-	// CacheContextBuilds / CacheContextReuses are the cache-path analogue:
-	// cache analysis contexts built cold vs cold analyses served by an
-	// existing cache context. CacheFuncsReanalyzed / CacheFuncs split the
-	// function-level MUST fixed point: solves that actually re-ran vs
-	// functions in scope across all cache-context analyses.
+	// CacheContextBuilds / CacheContextReuses are the same split for
+	// contexts with a cache domain. CacheFuncsReanalyzed / CacheFuncs split
+	// their function-level MUST fixed point: solves that actually re-ran vs
+	// functions in scope across all cache-domain analyses.
 	CacheContextBuilds, CacheContextReuses uint64
 	CacheFuncsReanalyzed, CacheFuncs       uint64
 
@@ -159,7 +159,7 @@ type Stats struct {
 
 	// SolverStateHits / SolverStateMisses: per-function IPET solves served
 	// from an analysis context's in-process solution memo vs solves that
-	// had to run.
+	// had to run, with and without a cache domain.
 	SolverStateHits, SolverStateMisses uint64
 
 	SimDiskHits, SimDiskMisses         uint64
@@ -235,15 +235,13 @@ type Pipeline struct {
 	sims     map[string]*entry[*sim.Result]
 	analyses map[string]*analysisEntry
 	contexts map[string]*entry[*wcet.Context]
-	cctxs    map[string]*entry[*wcet.CacheContext]
 	allocs   map[string]*entry[*Allocation]
 	profile  *entry[*sim.Profile]
 	stats    Stats
-	// ctxList/cctxList register successfully built analysis contexts;
-	// Stats folds in their atomic counters without touching entry locks
-	// (which an in-flight compute may hold).
-	ctxList  []*wcet.Context
-	cctxList []*wcet.CacheContext
+	// ctxList registers successfully built analysis contexts; Stats folds
+	// in their atomic counters without touching entry locks (which an
+	// in-flight compute may hold).
+	ctxList []*wcet.Context
 
 	bench string
 	om    pipeMetrics
@@ -350,7 +348,6 @@ func NewNamed(prog *obj.Program, bench string) *Pipeline {
 		sims:     make(map[string]*entry[*sim.Result]),
 		analyses: make(map[string]*analysisEntry),
 		contexts: make(map[string]*entry[*wcet.Context]),
-		cctxs:    make(map[string]*entry[*wcet.CacheContext]),
 		allocs:   make(map[string]*entry[*Allocation]),
 		profile:  &entry[*sim.Profile]{},
 		bench:    bench,
@@ -638,65 +635,42 @@ func (p *Pipeline) AnalyzeUnits(ctx context.Context, regions []obj.Region, spmSi
 			p.om.upgrades.Inc()
 		}
 		sp.SetAttr("tier", "compute")
-		if opts.Cache == nil {
-			// Cache-less analyses share a reusable context per partition:
-			// the CFG and IPET skeletons are built once, each placement only
-			// re-prices its delta. Results are bit-identical to the
-			// from-scratch path below.
-			wctx, built, err := p.contextFor(sctx, regions, opts)
-			if err != nil {
-				e.res, e.err = nil, err
-			} else {
-				p.count(func(s *Stats) {
-					if built {
-						s.ContextBuilds++
-					} else {
-						s.ContextReuses++
-					}
-				})
-				// Mirror LinkUnits' key normalisation: the empty placement
-				// analyses identically at every capacity, including
-				// capacities the linker would reject.
-				if PlacementKey(spmSize, inSPM) == "spm=0|" {
-					spmSize, inSPM = 0, nil
-				}
-				t0 := time.Now()
-				e.res, e.err = wctx.AnalyzeCtx(sctx, spmSize, inSPM, opts.Witness)
-				d := time.Since(t0)
-				p.count(func(s *Stats) { s.AnalyzeTime += d })
-				p.om.analyze.seconds.Observe(d.Seconds())
-				p.debugStage(ctx, "analyze", key, d)
-			}
+		// Analyses share a reusable context per partition and cache shape
+		// (or none): the CFG, IPET skeletons and block decomposition are
+		// built once, and each (capacity, placement) redoes only the work its
+		// delta touches. Results are bit-identical to a from-scratch link +
+		// analyze.
+		wctx, built, err := p.contextFor(sctx, regions, opts)
+		if err != nil {
+			e.res, e.err = nil, err
 		} else {
-			// Cache analyses share a reusable cache context per partition and
-			// cache *shape*: the CFG, IPET skeletons and symbolic access
-			// streams are built once, each (capacity, placement) replays only
-			// the functions whose MUST inputs changed. Results are
-			// bit-identical to a from-scratch link + analyze.
-			cctx, built, err := p.cacheContextFor(sctx, regions, opts)
-			if err != nil {
-				e.res, e.err = nil, err
-			} else {
-				p.count(func(s *Stats) {
-					if built {
-						s.CacheContextBuilds++
-					} else {
-						s.CacheContextReuses++
-					}
-				})
-				// Mirror LinkUnits' key normalisation: the empty placement
-				// analyses identically at every capacity, including
-				// capacities the linker would reject.
-				if PlacementKey(spmSize, inSPM) == "spm=0|" {
-					spmSize, inSPM = 0, nil
+			p.count(func(s *Stats) {
+				builds, reuses := &s.ContextBuilds, &s.ContextReuses
+				if opts.Cache != nil {
+					builds, reuses = &s.CacheContextBuilds, &s.CacheContextReuses
 				}
-				t0 := time.Now()
-				e.res, e.err = cctx.AnalyzeCtx(sctx, opts.Cache.Size, spmSize, inSPM, opts.Witness)
-				d := time.Since(t0)
-				p.count(func(s *Stats) { s.AnalyzeTime += d })
-				p.om.analyze.seconds.Observe(d.Seconds())
-				p.debugStage(ctx, "analyze", key, d)
+				if built {
+					*builds++
+				} else {
+					*reuses++
+				}
+			})
+			// Mirror LinkUnits' key normalisation: the empty placement
+			// analyses identically at every capacity, including capacities
+			// the linker would reject.
+			if PlacementKey(spmSize, inSPM) == "spm=0|" {
+				spmSize, inSPM = 0, nil
 			}
+			var cacheSize uint32
+			if opts.Cache != nil {
+				cacheSize = opts.Cache.Size
+			}
+			t0 := time.Now()
+			e.res, e.err = wctx.AnalyzeCtx(sctx, cacheSize, spmSize, inSPM, opts.Witness)
+			d := time.Since(t0)
+			p.count(func(s *Stats) { s.AnalyzeTime += d })
+			p.om.analyze.seconds.Observe(d.Seconds())
+			p.debugStage(ctx, "analyze", key, d)
 		}
 		e.done = true
 		if e.err == nil {
@@ -740,57 +714,21 @@ func (p *Pipeline) contextFor(ctx context.Context, regions []obj.Region, opts wc
 	return wctx, built, err
 }
 
-// contextKey is the analysis-context cache key: the partition plus every
-// Options field the context bakes in (placement and witness vary per
-// Analyze; Cache is always nil on this path).
+// contextKey is the analysis-context cache key: the partition, the cache
+// *shape* or none (capacity varies per Analyze, so it is deliberately
+// absent — one context serves a whole capacity sweep) and the Options
+// fields the context bakes in (placement and witness vary per Analyze).
 func contextKey(regions []obj.Region, opts wcet.Options) string {
-	return fmt.Sprintf("%sstack=%d|root=%s", unitPrefix(regions), opts.StackBound, opts.Root)
-}
-
-// cacheContextFor returns (memoized, singleflight) the reusable cache
-// analysis context for one partition and cache shape, built from the
-// partition's scratchpad-less base link. built reports whether this call
-// did the cold build.
-func (p *Pipeline) cacheContextFor(ctx context.Context, regions []obj.Region, opts wcet.Options) (*wcet.CacheContext, bool, error) {
-	key := cacheContextKey(regions, opts)
-	p.mu.Lock()
-	e, ok := p.cctxs[key]
-	if !ok {
-		e = &entry[*wcet.CacheContext]{}
-		p.cctxs[key] = e
-	}
-	p.mu.Unlock()
-	built := false
-	cctx, err := e.get(func() (*wcet.CacheContext, error) {
-		base, err := p.LinkUnits(ctx, regions, 0, nil)
-		if err != nil {
-			return nil, err
+	shape := "none"
+	if opts.Cache != nil {
+		cc := opts.Cache.WithDefaults()
+		kind := "unified"
+		if cc.InstructionOnly {
+			kind = "icache"
 		}
-		built = true
-		c, err := wcet.NewCacheContext(base, opts)
-		if err != nil {
-			return nil, err
-		}
-		p.mu.Lock()
-		p.cctxList = append(p.cctxList, c)
-		p.mu.Unlock()
-		return c, nil
-	})
-	return cctx, built, err
-}
-
-// cacheContextKey is the cache-context cache key: the partition, the cache
-// *shape* (capacity varies per Analyze, so it is deliberately absent —
-// one context serves a whole capacity sweep) and the Options fields the
-// context bakes in.
-func cacheContextKey(regions []obj.Region, opts wcet.Options) string {
-	cc := opts.Cache.WithDefaults()
-	kind := "unified"
-	if cc.InstructionOnly {
-		kind = "icache"
+		shape = fmt.Sprintf("%d/%d/%s", cc.LineSize, cc.Assoc, kind)
 	}
-	return fmt.Sprintf("%scacheshape=%d/%d/%s|stack=%d|root=%s",
-		unitPrefix(regions), cc.LineSize, cc.Assoc, kind, opts.StackBound, opts.Root)
+	return fmt.Sprintf("%scacheshape=%s|stack=%d|root=%s", unitPrefix(regions), shape, opts.StackBound, opts.Root)
 }
 
 // Profile collects (memoized) the typical-input access profile on the
@@ -971,7 +909,6 @@ func (p *Pipeline) Stats() Stats {
 	p.mu.Lock()
 	s := p.stats
 	ctxs := append([]*wcet.Context(nil), p.ctxList...)
-	cctxs := append([]*wcet.CacheContext(nil), p.cctxList...)
 	p.mu.Unlock()
 	s.FullLinks = s.Links
 	// Fold in the contexts' counters from their atomics — never their
@@ -980,8 +917,6 @@ func (p *Pipeline) Stats() Stats {
 		h, m := c.StateCounts()
 		s.SolverStateHits += h
 		s.SolverStateMisses += m
-	}
-	for _, c := range cctxs {
 		re, total := c.FuncCounts()
 		s.CacheFuncsReanalyzed += re
 		s.CacheFuncs += total

@@ -257,6 +257,21 @@ func (w *statusWriter) Status() int {
 // Handler returns the HTTP handler serving the API.
 func (s *Server) Handler() http.Handler { return s.mux }
 
+// Connection timeouts of every HTTP server the process runs. They bound
+// how long a client may take to send its request headers and how long an
+// idle keep-alive connection stays open, so slow or abandoned clients cannot
+// pin connections. There is deliberately no write timeout: a streamed sweep
+// legitimately writes for as long as it computes.
+const (
+	ReadHeaderTimeout = 10 * time.Second
+	IdleTimeout       = 2 * time.Minute
+)
+
+// httpServer builds the http.Server Run serves the API with.
+func (s *Server) httpServer() *http.Server {
+	return &http.Server{Handler: s.mux, ReadHeaderTimeout: ReadHeaderTimeout, IdleTimeout: IdleTimeout}
+}
+
 // Run serves the API on addr until ctx is cancelled, then shuts down
 // gracefully (in-flight requests drain, new connections are refused).
 // ready, when non-nil, is called with the bound address once the listener
@@ -276,7 +291,7 @@ func (s *Server) Run(ctx context.Context, addr string, ready func(boundAddr stri
 	if s.cfg.Store != nil && s.cfg.GCInterval > 0 {
 		go s.gcLoop(ctx)
 	}
-	srv := &http.Server{Handler: s.mux}
+	srv := s.httpServer()
 	errc := make(chan error, 1)
 	go func() { errc <- srv.Serve(ln) }()
 	select {

@@ -44,9 +44,9 @@ func prepProg(t *testing.T, src string) *link.Executable {
 	return base
 }
 
-// TestCacheContextMatchesCold drives one CacheContext through a sweep of
-// capacities, associativities and placements — including revisits that hit
-// the memo and the layout-stable fast path — and checks every Result
+// TestCacheContextMatchesCold drives one cache-domain Context through a
+// sweep of capacities, associativities and placements — including revisits
+// that hit the memo and the layout-stable fast path — and checks every Result
 // (bound, per-function bounds, classification counts, witness) is
 // bit-identical to a from-scratch link + Analyze.
 func TestCacheContextMatchesCold(t *testing.T) {
@@ -73,7 +73,7 @@ func TestCacheContextMatchesCold(t *testing.T) {
 
 	for _, assoc := range []int{1, 2, 4} {
 		ccfg := cache.Config{Assoc: assoc}
-		ctx, err := NewCacheContext(pr, Options{Cache: &ccfg, StackBound: 256, Witness: true})
+		ctx, err := NewContext(pr, Options{Cache: &ccfg, StackBound: 256, Witness: true})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -132,7 +132,7 @@ func TestCacheContextMatchesCold(t *testing.T) {
 func TestCacheContextInstructionOnly(t *testing.T) {
 	pr := prepProg(t, cacheCtxSrc)
 	ccfg := cache.Config{InstructionOnly: true}
-	ctx, err := NewCacheContext(pr, Options{Cache: &ccfg, StackBound: 256})
+	ctx, err := NewContext(pr, Options{Cache: &ccfg, StackBound: 256})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -158,25 +158,66 @@ func TestCacheContextInstructionOnly(t *testing.T) {
 	}
 }
 
-// TestCacheContextStablePlacementSkipsReanalysis pins the fast path: an
-// analysis under an unchanged layout and capacity re-runs zero functions.
+// TestCacheContextStablePlacementSkipsReanalysis pins the reuse paths of
+// both domains. With a cache, an analysis under an unchanged layout and
+// capacity re-runs zero functions. Without one, a placement sequence A, B,
+// A serves the second A entirely from the solution memo: memo hits rise and
+// no IPET program is solved.
 func TestCacheContextStablePlacementSkipsReanalysis(t *testing.T) {
 	pr := prepProg(t, cacheCtxSrc)
-	ccfg := cache.Config{}
-	ctx, err := NewCacheContext(pr, Options{Cache: &ccfg})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := ctx.Analyze(128, 0, nil, false); err != nil {
-		t.Fatal(err)
-	}
-	before := ctx.Stats().FuncsReanalyzed
-	if _, err := ctx.Analyze(128, 0, nil, false); err != nil {
-		t.Fatal(err)
-	}
-	if after := ctx.Stats().FuncsReanalyzed; after != before {
-		t.Fatalf("stable repeat re-analyzed %d functions, want 0", after-before)
-	}
+	t.Run("cache", func(t *testing.T) {
+		ccfg := cache.Config{}
+		ctx, err := NewContext(pr, Options{Cache: &ccfg})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := ctx.Analyze(128, 0, nil, false); err != nil {
+			t.Fatal(err)
+		}
+		before := ctx.Stats().FuncsReanalyzed
+		if _, err := ctx.Analyze(128, 0, nil, false); err != nil {
+			t.Fatal(err)
+		}
+		if after := ctx.Stats().FuncsReanalyzed; after != before {
+			t.Fatalf("stable repeat re-analyzed %d functions, want 0", after-before)
+		}
+	})
+	t.Run("none", func(t *testing.T) {
+		ctx, err := NewContext(pr, Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		a := map[string]bool{"scale": true, "weight": true}
+		b := map[string]bool{"table": true}
+		for _, inSPM := range []map[string]bool{a, b} {
+			if _, err := ctx.Analyze(0, 512, inSPM, false); err != nil {
+				t.Fatal(err)
+			}
+		}
+		hits, _ := ctx.StateCounts()
+		solved := ctx.Stats().FuncsSolved
+		res, err := ctx.Analyze(0, 512, a, true)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if h, _ := ctx.StateCounts(); h == hits {
+			t.Fatalf("revisiting placement A hit the solution memo 0 times")
+		}
+		if s := ctx.Stats().FuncsSolved; s != solved {
+			t.Fatalf("revisiting placement A solved %d IPET programs, want 0", s-solved)
+		}
+		exe, err := link.Link(pr.Prog, 512, a)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cold, err := Analyze(exe, Options{Witness: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(res, cold) {
+			t.Fatalf("memo-served %+v != cold %+v", res, cold)
+		}
+	})
 }
 
 // TestCacheContextErrorsMatchLink pins error parity: the context surfaces
@@ -185,7 +226,7 @@ func TestCacheContextStablePlacementSkipsReanalysis(t *testing.T) {
 func TestCacheContextErrorsMatchLink(t *testing.T) {
 	pr := prepProg(t, cacheCtxSrc)
 	ccfg := cache.Config{}
-	ctx, err := NewCacheContext(pr, Options{Cache: &ccfg})
+	ctx, err := NewContext(pr, Options{Cache: &ccfg})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -21,24 +21,14 @@ func AnalyzeCtx(ctx context.Context, exe *link.Executable, opts Options) (*Resul
 }
 
 // AnalyzeCtx is Context.Analyze with the caller's context threaded in,
-// recording the incremental re-solve as an "ipet" span. Bit-identical to
+// recording the incremental analysis as an "ipet" span. Bit-identical to
 // Analyze.
-func (c *Context) AnalyzeCtx(ctx context.Context, spmSize uint32, inSPM map[string]bool, witness bool) (*Result, error) {
-	_, sp := obs.Start(ctx, "ipet", obs.A("mode", "incremental"), obs.A("spm", spmSize))
-	defer sp.End()
-	res, err := c.Analyze(spmSize, inSPM, witness)
-	if err == nil {
-		sp.SetAttr("wcet", res.WCET)
+func (c *Context) AnalyzeCtx(ctx context.Context, cacheSize, spmSize uint32, inSPM map[string]bool, witness bool) (*Result, error) {
+	attrs := []obs.Attr{obs.A("mode", "incremental"), obs.A("spm", spmSize)}
+	if c.shape != nil {
+		attrs = []obs.Attr{obs.A("mode", "cache-incremental"), obs.A("cache", cacheSize), obs.A("spm", spmSize)}
 	}
-	return res, err
-}
-
-// AnalyzeCtx is CacheContext.Analyze with the caller's context threaded in,
-// recording the incremental cache-path analysis as an "ipet" span.
-// Bit-identical to Analyze.
-func (c *CacheContext) AnalyzeCtx(ctx context.Context, cacheSize, spmSize uint32, inSPM map[string]bool, witness bool) (*Result, error) {
-	_, sp := obs.Start(ctx, "ipet", obs.A("mode", "cache-incremental"),
-		obs.A("cache", cacheSize), obs.A("spm", spmSize))
+	_, sp := obs.Start(ctx, "ipet", attrs...)
 	defer sp.End()
 	res, err := c.Analyze(cacheSize, spmSize, inSPM, witness)
 	if err == nil {

@@ -3,6 +3,7 @@ package wcet
 import (
 	"fmt"
 	"math/rand"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -56,8 +57,10 @@ int mix(int a, int b) {
 }
 
 // TestFuzzSoundnessAcrossConfigs: for random programs and every memory
-// configuration, the WCET bound must cover the simulation and the program
-// result must be configuration-independent.
+// configuration, the WCET bound must cover the simulation, the program
+// result must be configuration-independent, and the incremental analysis
+// engine — one per cache shape, reused across the trial's configurations —
+// must return exactly what a from-scratch Analyze of the placed link does.
 func TestFuzzSoundnessAcrossConfigs(t *testing.T) {
 	rng := rand.New(rand.NewSource(20050307))
 	const trials = 12
@@ -82,6 +85,13 @@ func TestFuzzSoundnessAcrossConfigs(t *testing.T) {
 			{name: "cache-1k-2way", cache: &cache.Config{Size: 1024, Assoc: 2}},
 			{name: "icache-512", cache: &cache.Config{Size: 512, InstructionOnly: true}},
 		}
+		base, err := link.Link(prog, 0, nil)
+		if err != nil {
+			t.Fatalf("trial %d: base link: %v", trial, err)
+		}
+		// Engines by cache shape (Size zeroed); the zero Config keys the
+		// engine without a cache domain.
+		engines := make(map[cache.Config]*Context)
 		var wantExit uint32
 		for ci, cfg := range configs {
 			exe, err := link.Link(prog, cfg.spm, cfg.inSPM)
@@ -98,9 +108,30 @@ func TestFuzzSoundnessAcrossConfigs(t *testing.T) {
 				t.Fatalf("trial %d %s: result %d differs from plain %d — memory config changed semantics\n%s",
 					trial, cfg.name, res.ExitCode, wantExit, src)
 			}
-			wres, err := Analyze(exe, Options{Cache: cfg.cache, StackBound: 512})
+			wres, err := Analyze(exe, Options{Cache: cfg.cache, StackBound: 512, Witness: true})
 			if err != nil {
 				t.Fatalf("trial %d %s: analyse: %v\n%s", trial, cfg.name, err, src)
+			}
+			var shape cache.Config
+			var cacheSize uint32
+			if cfg.cache != nil {
+				shape, cacheSize = cfg.cache.WithDefaults(), cfg.cache.Size
+				shape.Size = 0
+			}
+			eng := engines[shape]
+			if eng == nil {
+				if eng, err = NewContext(base, Options{Cache: cfg.cache, StackBound: 512}); err != nil {
+					t.Fatalf("trial %d %s: engine: %v\n%s", trial, cfg.name, err, src)
+				}
+				engines[shape] = eng
+			}
+			inc, err := eng.Analyze(cacheSize, cfg.spm, cfg.inSPM, true)
+			if err != nil {
+				t.Fatalf("trial %d %s: incremental: %v\n%s", trial, cfg.name, err, src)
+			}
+			if !reflect.DeepEqual(inc, wres) {
+				t.Fatalf("trial %d %s: incremental %+v != from-scratch %+v\n%s",
+					trial, cfg.name, inc, wres, src)
 			}
 			if wres.WCET < res.Cycles {
 				t.Fatalf("trial %d %s: UNSOUND: WCET %d < sim %d\n%s",
