@@ -2,8 +2,10 @@ GO ?= go
 
 .PHONY: check ci fmt vet build test test-race bench bench-json bench-smoke bench-diff bench-gate wcetlab warmstore smoke
 
-# Tier-1 verification plus formatting/lint gates.
-check: fmt vet build test
+# Tier-1 verification plus formatting/lint gates, and the wcetbench
+# module's vet and tests (the root build never compiles that module, yet it
+# reads pipeline.Stats).
+check: fmt vet build test bench-gate
 
 # What .github/workflows/ci.yml runs: check with the race detector on,
 # plus the wcetbench gate's own tests, the single-iteration benchmark

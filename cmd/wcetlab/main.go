@@ -78,6 +78,7 @@ import (
 	"syscall"
 	"time"
 
+	"repro/internal/alloc"
 	"repro/internal/benchprog"
 	"repro/internal/cc"
 	"repro/internal/cfg"
@@ -90,14 +91,13 @@ import (
 	"repro/internal/service"
 	"repro/internal/store"
 	"repro/internal/wcet"
-	"repro/internal/wcetalloc"
 )
 
 var (
 	// artifactStore is the shared on-disk cache tier (nil when disabled).
 	artifactStore *store.Store
 	labWorkers    int
-	granularity   wcetalloc.Granularity
+	granularity   alloc.Granularity
 )
 
 func main() {
@@ -135,7 +135,7 @@ func main() {
 		defer obs.DefaultTracer.Disable()
 	}
 	var err error
-	granularity, err = wcetalloc.ParseGranularity(*gran)
+	granularity, err = alloc.ParseGranularity(*gran)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "wcetlab:", err)
 		os.Exit(2)
@@ -580,40 +580,40 @@ func all() error {
 // often an analysis context was reused instead of rebuilt per benchmark,
 // and process-wide how much repricing and LP warm-starting saved over a
 // from-scratch run (repriced vs total blocks, re-solved vs total
-// functions, warm vs cold simplex pivots).
+// functions, warm vs cold simplex pivots). The per-benchmark rows come
+// from each lab's Stats; the process-wide lines are read by name from the
+// metrics registry.
 func printIncrementalStats(labs []*core.Lab) {
 	header("Incremental analysis")
 	fmt.Printf("%-14s %12s %12s %12s %12s\n", "benchmark", "ctx builds", "ctx reuses", "cctx builds", "cctx reuses")
-	var builds, reuses, cbuilds, creuses uint64
-	for _, l := range labs {
-		s := l.Pipe.Stats()
-		builds += s.ContextBuilds
-		reuses += s.ContextReuses
-		cbuilds += s.CacheContextBuilds
-		creuses += s.CacheContextReuses
-		fmt.Printf("%-14s %12d %12d %12d %12d\n", l.Bench.Name,
+	row := func(name string, s pipeline.Stats) {
+		fmt.Printf("%-14s %12d %12d %12d %12d\n", name,
 			s.ContextBuilds, s.ContextReuses, s.CacheContextBuilds, s.CacheContextReuses)
 	}
-	fmt.Printf("%-14s %12d %12d %12d %12d\n", "total", builds, reuses, cbuilds, creuses)
-	val := func(name, help string, kv ...string) uint64 {
-		return obs.Default.Counter(name, help, kv...).Value()
+	var total pipeline.Stats
+	for _, l := range labs {
+		s := l.Pipe.Stats()
+		total.Add(s)
+		row(l.Bench.Name, s)
 	}
-	repriced := val("wcetlab_context_blocks_repriced_total", "Blocks re-priced by incremental analyses.")
-	blocks := val("wcetlab_context_blocks_total", "Blocks held by analysis contexts at each analysis.")
-	solved := val("wcetlab_context_funcs_solved_total", "Per-function IPET solves incremental analyses ran.")
-	funcs := val("wcetlab_context_funcs_total", "Functions held by analysis contexts at each analysis.")
-	warmPivots := val("wcetlab_lp_pivots_total", "Simplex pivots by solve mode.", "mode", "warm")
-	coldPivots := val("wcetlab_lp_pivots_total", "Simplex pivots by solve mode.", "mode", "cold")
+	row("total", total)
+	val := obs.Default.CounterTotal
+	repriced := val("wcetlab_context_blocks_repriced_total")
+	blocks := val("wcetlab_context_blocks_total")
+	solved := val("wcetlab_context_funcs_solved_total")
+	funcs := val("wcetlab_context_funcs_total")
+	warmPivots := val("wcetlab_lp_pivots_total", "mode", "warm")
+	coldPivots := val("wcetlab_lp_pivots_total", "mode", "cold")
 	pct := func(part, whole uint64) float64 {
 		if whole == 0 {
 			return 0
 		}
 		return 100 * float64(part) / float64(whole)
 	}
-	stateHits := val("wcetlab_solver_state_hits_total", "IPET solves served from recorded solver state.")
-	stateMisses := val("wcetlab_solver_state_misses_total", "IPET solves that ran for lack of recorded state.")
-	cacheRerun := val("wcetlab_cache_context_funcs_reanalyzed_total", "Functions whose MUST fixed point re-ran across cache-context analyses.")
-	cacheFuncs := val("wcetlab_cache_context_funcs_total", "Functions in scope across cache-context analyses.")
+	stateHits := val("wcetlab_solver_state_hits_total")
+	stateMisses := val("wcetlab_solver_state_misses_total")
+	cacheRerun := val("wcetlab_cache_context_funcs_reanalyzed_total")
+	cacheFuncs := val("wcetlab_cache_context_funcs_total")
 	fmt.Printf("\nblocks re-priced:  %d of %d (%.1f%%)\n", repriced, blocks, pct(repriced, blocks))
 	fmt.Printf("functions solved:  %d of %d (%.1f%%)\n", solved, funcs, pct(solved, funcs))
 	fmt.Printf("cache funcs rerun: %d of %d (%.1f%%)\n", cacheRerun, cacheFuncs, pct(cacheRerun, cacheFuncs))
@@ -790,7 +790,7 @@ func wcetsweep(name string) error {
 	fmt.Println("\nThe WCET-directed allocation's bound is never above the energy-directed")
 	fmt.Println("one's; where the worst-case path diverges from the typical input, it is")
 	fmt.Println("strictly tighter at the cost of a slightly higher average-case energy.")
-	if granularity == wcetalloc.GranBlock {
+	if granularity == alloc.GranBlock {
 		fmt.Println("Block granularity splits hot loop regions out of functions (\"splits\"")
 		fmt.Println("counts them) whenever placing a fragment certifies a lower bound than")
 		fmt.Println("placing whole objects; the bound is never worse than object granularity.")
@@ -878,7 +878,7 @@ func witness(name string, topN int, path bool) error {
 
 	// The hot regions those counts imply: the placement units the
 	// block-granularity allocator (-granularity block) would split out.
-	regions, err := wcetalloc.HotRegions(context.Background(), lab.Pipe, w, link.SPMMax, "")
+	regions, err := alloc.HotRegions(context.Background(), lab.Pipe, w, link.SPMMax, "")
 	if err != nil {
 		return err
 	}

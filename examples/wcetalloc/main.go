@@ -1,8 +1,8 @@
 // wcetalloc demonstrates WCET-directed scratchpad allocation: instead of
 // weighing memory objects by their simulated typical-input access counts
-// (the energy knapsack of internal/spm), internal/wcetalloc weighs them by
-// their access counts on the worst-case path — the IPET witness — re-links,
-// re-analyses and iterates to a fixpoint. The sweep below shows the bound
+// (the energy knapsack), the allocation engine in internal/alloc can weigh
+// them by their access counts on the worst-case path — the IPET witness —
+// re-link, re-analyse and iterate to a fixpoint. The sweep below shows the bound
 // it certifies is never worse than the energy-directed allocation's, and
 // the iteration trace shows the monotone descent at one capacity.
 package main
@@ -12,9 +12,8 @@ import (
 	"fmt"
 	"log"
 
+	"repro/internal/alloc"
 	"repro/internal/core"
-	"repro/internal/spm"
-	"repro/internal/wcetalloc"
 )
 
 func main() {
@@ -42,11 +41,12 @@ func main() {
 	// bound never rises. Running it against lab.Pipe after the sweep above
 	// means the seed and baseline analyses are cache hits, not re-runs.
 	const size = 2048
-	ealloc, err := spm.Allocate(lab.Prog, lab.Profile, size, lab.Model)
+	items := alloc.Candidates(lab.Prog, alloc.Evidence{Profile: lab.Profile}, alloc.EnergyObjective{Model: lab.Model}, size)
+	ealloc, err := alloc.Knapsack(items, size)
 	if err != nil {
 		log.Fatal(err)
 	}
-	res, err := wcetalloc.AllocateIn(ctx, lab.Pipe, size, wcetalloc.Options{
+	res, err := alloc.Run(ctx, lab.Pipe, size, alloc.WCETObjective{}, alloc.SolverILP, alloc.Options{
 		Seeds: []map[string]bool{ealloc.InSPM},
 	})
 	if err != nil {
@@ -68,11 +68,11 @@ func main() {
 	fmt.Println("\nObject vs block placement-unit granularity (WCET-directed bound):")
 	fmt.Printf("%8s | %12s %12s | %7s %7s\n", "SPM [B]", "object", "block", "Δ", "splits")
 	for _, capacity := range []uint32{64, 128, 256, 512} {
-		objRes, err := wcetalloc.AllocateIn(ctx, lab.Pipe, capacity, wcetalloc.Options{})
+		objRes, err := alloc.Run(ctx, lab.Pipe, capacity, alloc.WCETObjective{}, alloc.SolverILP, alloc.Options{})
 		if err != nil {
 			log.Fatal(err)
 		}
-		blkRes, err := wcetalloc.AllocateIn(ctx, lab.Pipe, capacity, wcetalloc.Options{Granularity: wcetalloc.GranBlock})
+		blkRes, err := alloc.Run(ctx, lab.Pipe, capacity, alloc.WCETObjective{}, alloc.SolverILP, alloc.Options{Granularity: alloc.GranBlock})
 		if err != nil {
 			log.Fatal(err)
 		}

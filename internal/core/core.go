@@ -23,6 +23,7 @@ import (
 	"runtime"
 	"sync"
 
+	"repro/internal/alloc"
 	"repro/internal/benchprog"
 	"repro/internal/cache"
 	"repro/internal/cc"
@@ -31,10 +32,8 @@ import (
 	"repro/internal/obs"
 	"repro/internal/pipeline"
 	"repro/internal/sim"
-	"repro/internal/spm"
 	"repro/internal/store"
 	"repro/internal/wcet"
-	"repro/internal/wcetalloc"
 )
 
 // PaperSizes are the capacities evaluated in the paper: 64 bytes to 8 KB.
@@ -182,21 +181,21 @@ func (l *Lab) ResetArtifacts() {
 // EnergyAllocator returns the energy-directed allocation policy under the
 // lab's energy model.
 func (l *Lab) EnergyAllocator() pipeline.Allocator {
-	return spm.Energy{Model: l.Model}
+	return alloc.EnergyAllocator{Model: l.Model}
 }
 
 // WCETAllocator returns the WCET-directed allocation policy, seeded with
 // the energy allocation (so its bound is never worse than the energy
 // policy's) and with the lab's energy model as the equal-bound tie-break.
 func (l *Lab) WCETAllocator() pipeline.Allocator {
-	return l.WCETAllocatorGran(wcetalloc.GranObject)
+	return l.WCETAllocatorGran(alloc.GranObject)
 }
 
 // WCETAllocatorGran is WCETAllocator at an explicit placement-unit
 // granularity.
-func (l *Lab) WCETAllocatorGran(g wcetalloc.Granularity) pipeline.Allocator {
-	return wcetalloc.Directed{
-		Opts: wcetalloc.Options{Energy: l.placementEnergy, EnergyKey: l.Model.Key(), Granularity: g},
+func (l *Lab) WCETAllocatorGran(g alloc.Granularity) pipeline.Allocator {
+	return alloc.Directed{
+		Opts: alloc.Options{Energy: l.placementEnergy, EnergyKey: l.Model.Key(), Granularity: g},
 		Seed: l.EnergyAllocator(),
 	}
 }
@@ -232,9 +231,9 @@ func (l *Lab) WithAllocator(ctx context.Context, a pipeline.Allocator, size uint
 
 // measureAllocation links one scratchpad allocation and measures it. Both
 // the link and the analysis are pipeline artifacts: if the placement was
-// already analysed (e.g. by the wcetalloc fixpoint), the bound is reused.
+// already analysed (e.g. by the WCET-directed fixpoint), the bound is reused.
 // The allocation's unit partition (if any) flows into every stage key.
-func (l *Lab) measureAllocation(ctx context.Context, size uint32, alloc *spm.Allocation) (Measurement, error) {
+func (l *Lab) measureAllocation(ctx context.Context, size uint32, alloc *pipeline.Allocation) (Measurement, error) {
 	m, err := l.measure(ctx, alloc.Splits, size, alloc.InSPM, nil, alloc)
 	if err != nil {
 		return Measurement{}, err
@@ -251,7 +250,7 @@ func (l *Lab) measureAllocation(ctx context.Context, size uint32, alloc *spm.All
 // (then all its profiled accesses really are SPM accesses, trampolines
 // aside); a half-resident split function is charged entirely at main
 // cost. Fragment names are unknown to the profile and drop out.
-func energyPlacement(alloc *spm.Allocation) map[string]bool {
+func energyPlacement(alloc *pipeline.Allocation) map[string]bool {
 	if len(alloc.Splits) == 0 {
 		return alloc.InSPM
 	}
@@ -293,7 +292,7 @@ func (l *Lab) withCacheConfig(ctx context.Context, ccfg cache.Config) (Measureme
 
 // measure simulates and analyses one configuration through the pipeline,
 // under an optional placement-unit partition.
-func (l *Lab) measure(ctx context.Context, splits []obj.Region, spmSize uint32, inSPM map[string]bool, ccfg *cache.Config, alloc *spm.Allocation) (Measurement, error) {
+func (l *Lab) measure(ctx context.Context, splits []obj.Region, spmSize uint32, inSPM map[string]bool, ccfg *cache.Config, alloc *pipeline.Allocation) (Measurement, error) {
 	res, err := l.Pipe.SimulateUnits(ctx, splits, spmSize, inSPM, ccfg)
 	if err != nil {
 		return Measurement{}, err
@@ -340,13 +339,13 @@ func (l *Lab) validateExit(exit int32) error {
 	return nil
 }
 
-// AllocComparison pairs the energy-directed (internal/spm) and the
-// WCET-directed (internal/wcetalloc) allocation at one capacity.
+// AllocComparison pairs the energy-directed and the WCET-directed
+// allocation (both internal/alloc) at one capacity.
 type AllocComparison struct {
 	SPMSize uint32
 	// Granularity is the WCET-directed allocator's placement-unit
 	// granularity (the energy side always places whole objects).
-	Granularity wcetalloc.Granularity
+	Granularity alloc.Granularity
 	// Energy is the measurement under the energy-knapsack allocation
 	// (identical to WithScratchpad).
 	Energy Measurement
@@ -365,7 +364,7 @@ type AllocComparison struct {
 // WithWCETAllocation runs both allocators at one capacity and measures the
 // resulting systems side by side, placing whole objects.
 func (l *Lab) WithWCETAllocation(ctx context.Context, size uint32) (AllocComparison, error) {
-	return l.WithWCETAllocationGran(ctx, size, wcetalloc.GranObject)
+	return l.WithWCETAllocationGran(ctx, size, alloc.GranObject)
 }
 
 // WithWCETAllocationGran is WithWCETAllocation at an explicit placement-
@@ -377,7 +376,7 @@ func (l *Lab) WithWCETAllocation(ctx context.Context, size uint32) (AllocCompari
 // first, so the measurements below are pure cache hits. At block
 // granularity the fixpoint additionally runs over the hot-region unit
 // partition and keeps the better certified bound.
-func (l *Lab) WithWCETAllocationGran(ctx context.Context, size uint32, g wcetalloc.Granularity) (AllocComparison, error) {
+func (l *Lab) WithWCETAllocationGran(ctx context.Context, size uint32, g alloc.Granularity) (AllocComparison, error) {
 	walloc, err := l.Pipe.Allocate(ctx, l.WCETAllocatorGran(g), size)
 	if err != nil {
 		return AllocComparison{}, err
@@ -508,12 +507,12 @@ func sweep[T any](ctx context.Context, l *Lab, branch string, sizes []uint32, f 
 // SweepWCETAllocation compares the two allocators at every paper capacity,
 // placing whole objects.
 func (l *Lab) SweepWCETAllocation(ctx context.Context) ([]AllocComparison, error) {
-	return l.SweepWCETAllocationGran(ctx, wcetalloc.GranObject)
+	return l.SweepWCETAllocationGran(ctx, alloc.GranObject)
 }
 
 // SweepWCETAllocationGran is SweepWCETAllocation at an explicit placement-
 // unit granularity.
-func (l *Lab) SweepWCETAllocationGran(ctx context.Context, g wcetalloc.Granularity) ([]AllocComparison, error) {
+func (l *Lab) SweepWCETAllocationGran(ctx context.Context, g alloc.Granularity) ([]AllocComparison, error) {
 	return sweep(ctx, l, "wcetalloc", PaperSizes, func(ctx context.Context, size uint32) (AllocComparison, error) {
 		return l.WithWCETAllocationGran(ctx, size, g)
 	})
@@ -521,7 +520,7 @@ func (l *Lab) SweepWCETAllocationGran(ctx context.Context, g wcetalloc.Granulari
 
 // SweepWCETAllocationGranStream is SweepWCETAllocationGran delivering
 // each comparison to emit in capacity order as soon as it is ready.
-func (l *Lab) SweepWCETAllocationGranStream(ctx context.Context, g wcetalloc.Granularity, emit func(AllocComparison) error) error {
+func (l *Lab) SweepWCETAllocationGranStream(ctx context.Context, g alloc.Granularity, emit func(AllocComparison) error) error {
 	return sweepStream(ctx, l, "wcetalloc", PaperSizes, func(ctx context.Context, size uint32) (AllocComparison, error) {
 		return l.WithWCETAllocationGran(ctx, size, g)
 	}, func(_ int, c AllocComparison) error { return emit(c) })

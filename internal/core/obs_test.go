@@ -2,70 +2,113 @@ package core
 
 import (
 	"context"
-
 	"testing"
 
 	"repro/internal/obs"
 	"repro/internal/pipeline"
+	"repro/internal/store"
 )
 
-// stageRuns reads the cold-execution counters back out of the process-wide
-// registry for one benchmark.
-func stageRuns(bench string) map[string]uint64 {
-	out := map[string]uint64{}
-	for _, f := range obs.Default.Snapshot() {
-		if f.Name != "wcetlab_stage_runs_total" {
-			continue
-		}
-		for _, s := range f.Samples {
-			if s.Label("bench") == bench {
-				out[s.Label("stage")] += uint64(s.Value)
-			}
-		}
-	}
-	return out
+// mirror is one counter that Stats shares with the registry: the series
+// (name plus label pairs) and the figure Stats holds for it.
+type mirror struct {
+	name   string
+	labels []string
+	stat   uint64
 }
 
-// TestMetricsMirrorStats runs a parallel sweep and asserts the registry's
-// run counters moved by exactly the pipeline's own Stats deltas — the
-// instrumentation adds zero stage executions and loses none under
-// concurrent workers.
+// mirrors lists every counter s shares with the registry for one
+// benchmark, in a fixed order. The context and solver series are
+// process-wide, so a test comparing them must be the only analysis work in
+// the process while its window is open.
+func mirrors(bench string, s pipeline.Stats) []mirror {
+	ms := []mirror{
+		{"wcetlab_analyze_witness_upgrades_total", []string{"bench", bench}, s.AnalyzeUpgrades},
+		{"wcetlab_context_builds_total", nil, s.ContextBuilds},
+		{"wcetlab_context_reuses_total", nil, s.ContextReuses},
+		{"wcetlab_cache_context_builds_total", nil, s.CacheContextBuilds},
+		{"wcetlab_cache_context_reuses_total", nil, s.CacheContextReuses},
+		{"wcetlab_solver_state_hits_total", nil, s.SolverStateHits},
+		{"wcetlab_solver_state_misses_total", nil, s.SolverStateMisses},
+		{"wcetlab_cache_context_funcs_reanalyzed_total", nil, s.CacheFuncsReanalyzed},
+		{"wcetlab_cache_context_funcs_total", nil, s.CacheFuncs},
+	}
+	for _, st := range []struct {
+		stage                               string
+		runs, memHits, diskHits, diskMisses uint64
+	}{
+		{"link", s.Links, s.LinkHits, 0, 0},
+		{"simulate", s.Sims, s.SimHits, s.SimDiskHits, s.SimDiskMisses},
+		{"analyze", s.Analyses, s.AnalyzeHits, s.AnalyzeDiskHits, s.AnalyzeDiskMisses},
+		{"profile", s.Profiles, s.ProfileHits, s.ProfileDiskHits, s.ProfileDiskMisses},
+		{"alloc", s.Allocs, s.AllocHits, s.AllocDiskHits, s.AllocDiskMisses},
+	} {
+		cache := func(tier, result string) []string {
+			return []string{"stage", st.stage, "tier", tier, "result", result, "bench", bench}
+		}
+		ms = append(ms,
+			mirror{"wcetlab_stage_runs_total", []string{"stage", st.stage, "bench", bench}, st.runs},
+			mirror{"wcetlab_stage_cache_total", cache("memory", "hit"), st.memHits})
+		if st.stage != "link" { // links are never persisted
+			ms = append(ms,
+				mirror{"wcetlab_stage_cache_total", cache("disk", "hit"), st.diskHits},
+				mirror{"wcetlab_stage_cache_total", cache("disk", "miss"), st.diskMisses})
+		}
+	}
+	return ms
+}
+
+// TestMetricsMirrorStats runs parallel sweeps on a cold and then a warm
+// lab sharing one artifact store, and asserts every counter Stats shares
+// with the registry moved by exactly the labs' summed Stats — the
+// instrumentation adds no event and loses none under concurrent workers.
 func TestMetricsMirrorStats(t *testing.T) {
-	// The window opens before lab construction so the profile collected
-	// there is part of the delta, exactly as it is part of Stats.
-	before := stageRuns("MultiSort")
-	lab, err := NewLabByName("MultiSort")
+	const bench = "MultiSort"
+	st, err := store.Open(t.TempDir())
 	if err != nil {
 		t.Fatal(err)
 	}
-	lab.Workers = 4
-	if _, err := lab.SweepScratchpad(context.Background()); err != nil {
-		t.Fatal(err)
+	ctx := context.Background()
+	// The window opens before lab construction so the profile collected
+	// there is part of the delta, exactly as it is part of Stats.
+	var before []uint64
+	for _, m := range mirrors(bench, pipeline.Stats{}) {
+		before = append(before, obs.Default.CounterTotal(m.name, m.labels...))
 	}
-	st := lab.Pipe.Stats()
-	after := stageRuns("MultiSort")
-	delta := func(stage string) uint64 { return after[stage] - before[stage] }
-
-	want := map[string]uint64{
-		"link":     st.Links,
-		"simulate": st.Sims,
-		"analyze":  st.Analyses,
-		"alloc":    st.Allocs,
-		"profile":  st.Profiles,
-	}
-	for stage, w := range want {
-		if got := delta(stage); got != w {
-			t.Errorf("registry %s runs moved by %d, Stats says %d", stage, got, w)
+	var total pipeline.Stats
+	for _, warm := range []bool{false, true} {
+		lab, err := NewLabByNameWithStore(bench, st)
+		if err != nil {
+			t.Fatal(err)
 		}
+		lab.Workers = 4
+		if _, err := lab.SweepScratchpad(ctx); err != nil {
+			t.Fatal(err)
+		}
+		if !warm {
+			if _, err := lab.SweepCache(ctx); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := lab.SweepWCETAllocation(ctx); err != nil {
+				t.Fatal(err)
+			}
+		}
+		total.Add(lab.Pipe.Stats())
 	}
-	if st.Sims == 0 || st.Analyses == 0 {
-		t.Fatalf("sweep ran no cold stages (sims=%d analyses=%d) — test is vacuous", st.Sims, st.Analyses)
+
+	for i, m := range mirrors(bench, total) {
+		if got := obs.Default.CounterTotal(m.name, m.labels...) - before[i]; got != m.stat {
+			t.Errorf("registry %s%v moved by %d, Stats says %d", m.name, m.labels, got, m.stat)
+		}
+		if m.stat == 0 {
+			t.Errorf("Stats counted no %s%v — the check is vacuous", m.name, m.labels)
+		}
 	}
 
 	// Latency histograms must hold exactly one observation per cold run.
-	lat := pipeline.StageLatency("MultiSort")
-	if lat["analyze"].Count < st.Analyses {
-		t.Errorf("analyze latency count %d < cold analyses %d", lat["analyze"].Count, st.Analyses)
+	lat := pipeline.StageLatency(bench)
+	if lat["analyze"].Count < total.Analyses {
+		t.Errorf("analyze latency count %d < cold analyses %d", lat["analyze"].Count, total.Analyses)
 	}
 }
 

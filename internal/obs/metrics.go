@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -23,6 +24,32 @@ func (c *Counter) Inc() { c.v.Add(1) }
 
 // Value returns the current count.
 func (c *Counter) Value() uint64 { return c.v.Load() }
+
+// Tally is one instance's count of an event that also feeds a registry
+// counter: every Add moves both, so the per-instance figure (a pipeline's
+// Stats, an analysis context's ContextStats) and the process-wide series
+// cannot disagree. A nil counter keeps the count instance-local.
+type Tally struct {
+	n atomic.Uint64
+	c *Counter
+}
+
+// NewTally returns a zero tally writing through to c.
+func NewTally(c *Counter) *Tally { return &Tally{c: c} }
+
+// Add counts n events.
+func (t *Tally) Add(n uint64) {
+	t.n.Add(n)
+	if t.c != nil {
+		t.c.Add(n)
+	}
+}
+
+// Inc counts one event.
+func (t *Tally) Inc() { t.Add(1) }
+
+// Value returns this instance's count.
+func (t *Tally) Value() uint64 { return t.n.Load() }
 
 // Gauge is a metric that can go up and down (in-flight requests, queue
 // depth, sampled runtime state). Storage is a float64 so fractional
@@ -248,9 +275,9 @@ func labelKey(kv []string) (string, []Label) {
 	return b.String(), labels
 }
 
-// fam returns (creating if needed) the family, panicking on a type
-// mismatch — two call sites disagreeing about a metric's type is a
-// programming error, not a runtime condition.
+// fam returns (creating if needed) the family, panicking on a type or help
+// mismatch — two call sites disagreeing about a metric's type or meaning
+// is a programming error, not a runtime condition.
 func (r *Registry) fam(name, help string, typ metricType, bounds []float64) *family {
 	r.mu.RLock()
 	f := r.families[name]
@@ -265,6 +292,9 @@ func (r *Registry) fam(name, help string, typ metricType, bounds []float64) *fam
 	}
 	if f.typ != typ {
 		panic(fmt.Sprintf("obs: metric %q registered as %s and %s", name, f.typ, typ))
+	}
+	if f.help != help {
+		panic(fmt.Sprintf("obs: metric %q registered with help %q and %q", name, f.help, help))
 	}
 	return f
 }
@@ -313,6 +343,32 @@ func (r *Registry) Gauge(name, help string, labels ...string) *Gauge {
 func (r *Registry) Histogram(name, help string, bounds []float64, labels ...string) *Histogram {
 	key, ls := labelKey(labels)
 	return r.fam(name, help, typeHistogram, bounds).series(key, ls).h
+}
+
+// CounterTotal sums the counter series of one family whose labels carry
+// every given key/value pair: a read by name that, unlike Counter, needs no
+// help text and registers nothing. An unknown family totals 0.
+func (r *Registry) CounterTotal(name string, labels ...string) uint64 {
+	r.mu.RLock()
+	f := r.families[name]
+	r.mu.RUnlock()
+	if f == nil || f.typ != typeCounter {
+		return 0
+	}
+	_, want := labelKey(labels)
+	f.mu.RLock()
+	defer f.mu.RUnlock()
+	var total uint64
+series:
+	for _, s := range f.metrics {
+		for _, w := range want {
+			if !slices.Contains(s.labels, w) {
+				continue series
+			}
+		}
+		total += s.c.Value()
+	}
+	return total
 }
 
 // Sample is one series' current value in a Snapshot.

@@ -47,6 +47,61 @@ func TestTypeMismatchPanics(t *testing.T) {
 	r.Gauge("wcetlab_x_total", "h")
 }
 
+func TestHelpMismatchPanics(t *testing.T) {
+	r := NewRegistry()
+	r.Counter("wcetlab_x_total", "h", "k", "a")
+	r.Counter("wcetlab_x_total", "h", "k", "b") // same help: a second series
+	defer func() {
+		if recover() == nil {
+			t.Fatal("expected panic on help mismatch")
+		}
+	}()
+	r.Counter("wcetlab_x_total", "other help", "k", "a")
+}
+
+func TestCounterTotal(t *testing.T) {
+	r := NewRegistry()
+	r.Counter("wcetlab_pivots_total", "h", "mode", "warm", "bench", "a").Add(2)
+	r.Counter("wcetlab_pivots_total", "h", "mode", "warm", "bench", "b").Add(3)
+	r.Counter("wcetlab_pivots_total", "h", "mode", "cold", "bench", "a").Add(5)
+	r.Gauge("wcetlab_depth", "h").Set(7)
+	for _, tc := range []struct {
+		name   string
+		labels []string
+		want   uint64
+	}{
+		{"wcetlab_pivots_total", nil, 10},
+		{"wcetlab_pivots_total", []string{"mode", "warm"}, 5},
+		{"wcetlab_pivots_total", []string{"bench", "a", "mode", "cold"}, 5},
+		{"wcetlab_pivots_total", []string{"mode", "none"}, 0},
+		{"wcetlab_absent_total", nil, 0},
+		{"wcetlab_depth", nil, 0},
+	} {
+		if got := r.CounterTotal(tc.name, tc.labels...); got != tc.want {
+			t.Errorf("CounterTotal(%s, %v) = %d, want %d", tc.name, tc.labels, got, tc.want)
+		}
+	}
+	if got := len(r.Snapshot()); got != 2 {
+		t.Errorf("reads registered families: %d families, want 2", got)
+	}
+}
+
+func TestTallyWritesThrough(t *testing.T) {
+	r := NewRegistry()
+	c := r.Counter("wcetlab_tally_total", "h")
+	a, b := NewTally(c), NewTally(c)
+	a.Inc()
+	b.Add(3)
+	if a.Value() != 1 || b.Value() != 3 || c.Value() != 4 {
+		t.Fatalf("tallies %d, %d over counter %d, want 1, 3 over 4", a.Value(), b.Value(), c.Value())
+	}
+	local := NewTally(nil)
+	local.Add(2)
+	if local.Value() != 2 {
+		t.Fatalf("local tally = %d, want 2", local.Value())
+	}
+}
+
 func TestHistogramBucketsAndQuantiles(t *testing.T) {
 	r := NewRegistry()
 	h := r.Histogram("wcetlab_lat_seconds", "h", []float64{0.01, 0.1, 1})

@@ -11,11 +11,11 @@
 // — each keyed by a canonical placement/configuration key, so within one
 // Pipeline no identical link, simulation, WCET analysis or allocation
 // solve ever runs twice. The sweeps in internal/core and the fixpoint loop
-// in internal/wcetalloc share one Pipeline per benchmark and therefore
-// share artifacts: the capacity-independent empty-scratchpad analysis is
-// computed once per program (not once per swept size), and the energy-seed
-// analysis the fixpoint starts from is the same artifact the measurement
-// layer reports.
+// of the allocation engine (internal/alloc) share one Pipeline per
+// benchmark and therefore share artifacts: the capacity-independent
+// empty-scratchpad analysis is computed once per program (not once per
+// swept size), and the energy-seed analysis the fixpoint starts from is
+// the same artifact the measurement layer reports.
 //
 // # Cache tiers
 //
@@ -58,9 +58,11 @@ package pipeline
 import (
 	"context"
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/cache"
@@ -72,9 +74,9 @@ import (
 	"repro/internal/wcet"
 )
 
-// Allocation is the shared result type of every scratchpad allocator (the
-// energy-directed knapsack in internal/spm aliases it, the WCET-directed
-// fixpoint in internal/wcetalloc converts to it).
+// Allocation is the shared result type of every scratchpad allocator: the
+// allocation engine (internal/alloc) returns it from its knapsack solvers
+// and converts its WCET-directed fixpoint results to it.
 type Allocation struct {
 	// InSPM names the objects placed in the scratchpad. Under a non-empty
 	// Splits partition the names refer to the split program's objects
@@ -93,7 +95,7 @@ type Allocation struct {
 	// *Units stage variants, passing this partition.
 	Splits []obj.Region
 	// Iterations and Converged describe the solve for iterative policies
-	// (the wcetalloc fixpoint: accepted steps including the baseline, and
+	// (the WCET-directed fixpoint: accepted steps including the baseline, and
 	// whether it reached a fixpoint before its cap). Single-shot knapsack
 	// policies leave them zero.
 	Iterations int
@@ -103,7 +105,7 @@ type Allocation struct {
 // Allocator is the common interface of the scratchpad allocators: given
 // the pipeline holding the compiled program (and, memoized, its profile
 // and analysis artifacts), choose the objects to place at one capacity.
-// internal/spm's Energy and internal/wcetalloc's Directed implement it.
+// internal/alloc's EnergyAllocator and Directed implement it.
 // The context carries the request's trace (and cancellation, which the
 // stages an allocator calls back into respect).
 type Allocator interface {
@@ -126,8 +128,15 @@ type Allocator interface {
 // configuration to attach a witness — the only way a configuration is ever
 // analysed twice. The *Time fields accumulate wall clock spent in cold
 // stage executions; AllocTime is the allocators' wall clock and includes
-// the nested stage computations a solve triggers (e.g. the wcetalloc
+// the nested stage computations a solve triggers (e.g. the WCET-directed
 // fixpoint's analyses), so it is not disjoint from AnalyzeTime.
+//
+// Stats is a projection: Pipeline.Stats builds it from the pipeline's
+// per-stage counters, each of which also moves its wcetlab_stage_* (or
+// wcetlab_analyze_witness_upgrades_total, wcetlab_store_write_errors_total)
+// series in the same call, and from the ContextStats of the pipeline's
+// analysis contexts, which write through to the wcetlab_context_*,
+// wcetlab_cache_context_* and wcetlab_solver_state_* series.
 type Stats struct {
 	Links, LinkHits       uint64
 	Sims, SimHits         uint64
@@ -138,8 +147,9 @@ type Stats struct {
 
 	// ContextBuilds counts reusable analysis contexts without a cache
 	// domain built (cold: CFG + IPET skeletons + block decomposition);
-	// ContextReuses counts cold cache-less analyses served by an existing
-	// context instead.
+	// ContextReuses counts the analyses each such context served after its
+	// first. An analysis the context rejects (a placement that does not
+	// link) is not a reuse.
 	ContextBuilds, ContextReuses uint64
 
 	// CacheContextBuilds / CacheContextReuses are the same split for
@@ -237,70 +247,86 @@ type Pipeline struct {
 	contexts map[string]*entry[*wcet.Context]
 	allocs   map[string]*entry[*Allocation]
 	profile  *entry[*sim.Profile]
-	stats    Stats
-	// ctxList registers successfully built analysis contexts; Stats folds
-	// in their atomic counters without touching entry locks (which an
-	// in-flight compute may hold).
+	// ctxList registers successfully built analysis contexts; Stats derives
+	// the context counters from their lock-free ContextStats without
+	// touching entry locks (which an in-flight compute may hold).
 	ctxList []*wcet.Context
 
-	bench string
-	om    pipeMetrics
+	bench  string
+	counts counters
 
 	progOnce sync.Once
 	progKey  string
 }
 
-// stageMetrics are one stage's series in the process-wide registry,
-// resolved once per pipeline so the hot paths pay only atomic increments.
-// They mirror Stats exactly: runs = cold executions, the cache counters
-// split by tier, seconds distributes the same wall clock the *Time sums
-// accumulate.
-type stageMetrics struct {
-	runs     *obs.Counter
-	seconds  *obs.Histogram
-	memHit   *obs.Counter
-	memMiss  *obs.Counter
-	diskHit  *obs.Counter
-	diskMiss *obs.Counter
+// stage is one stage's counter set: cold runs, lookups per cache tier and
+// the wall clock of cold runs. Every count writes through to the stage's
+// series in the process-wide registry, so Stats and the registry are two
+// views of one record.
+type stage struct {
+	name         string
+	runs         *obs.Tally
+	memory, disk lookups
+	seconds      *obs.Histogram
+	nanos        atomic.Int64
 }
 
-func newStageMetrics(stage, bench string) stageMetrics {
-	cache := func(tier, result string) *obs.Counter {
-		return obs.Default.Counter("wcetlab_stage_cache_total",
-			"Pipeline stage cache lookups by tier and result.",
-			"stage", stage, "tier", tier, "result", result, "bench", bench)
+// lookups are one cache tier's hits and misses.
+type lookups struct{ hits, misses *obs.Tally }
+
+func (l lookups) count(hit bool) {
+	if hit {
+		l.hits.Inc()
+	} else {
+		l.misses.Inc()
 	}
-	return stageMetrics{
-		runs: obs.Default.Counter("wcetlab_stage_runs_total",
-			"Cold pipeline stage executions.", "stage", stage, "bench", bench),
+}
+
+func newStage(name, bench string) *stage {
+	tier := func(tier string) lookups {
+		result := func(result string) *obs.Tally {
+			return obs.NewTally(obs.Default.Counter("wcetlab_stage_cache_total",
+				"Pipeline stage cache lookups by tier and result.",
+				"stage", name, "tier", tier, "result", result, "bench", bench))
+		}
+		return lookups{result("hit"), result("miss")}
+	}
+	return &stage{
+		name: name,
+		runs: obs.NewTally(obs.Default.Counter("wcetlab_stage_runs_total",
+			"Cold pipeline stage executions.", "stage", name, "bench", bench)),
+		memory: tier("memory"),
+		disk:   tier("disk"),
 		seconds: obs.Default.Histogram("wcetlab_stage_seconds",
 			"Wall clock per cold pipeline stage execution.", nil,
-			"stage", stage, "bench", bench),
-		memHit:   cache("memory", "hit"),
-		memMiss:  cache("memory", "miss"),
-		diskHit:  cache("disk", "hit"),
-		diskMiss: cache("disk", "miss"),
+			"stage", name, "bench", bench),
 	}
 }
 
-type pipeMetrics struct {
-	link, sim, analyze, profile, alloc stageMetrics
-
-	upgrades    *obs.Counter
-	storeErrors *obs.Counter
+// read returns the stage's figures as Stats holds them: cold runs, memory
+// hits, disk hits and misses, and the summed wall clock of cold runs.
+func (s *stage) read() (runs, memHits, diskHits, diskMisses uint64, d time.Duration) {
+	return s.runs.Value(), s.memory.hits.Value(), s.disk.hits.Value(), s.disk.misses.Value(),
+		time.Duration(s.nanos.Load())
 }
 
-func newPipeMetrics(bench string) pipeMetrics {
-	return pipeMetrics{
-		link:    newStageMetrics("link", bench),
-		sim:     newStageMetrics("simulate", bench),
-		analyze: newStageMetrics("analyze", bench),
-		profile: newStageMetrics("profile", bench),
-		alloc:   newStageMetrics("alloc", bench),
-		upgrades: obs.Default.Counter("wcetlab_analyze_witness_upgrades_total",
-			"Re-analyses of a cached configuration to attach a witness.", "bench", bench),
-		storeErrors: obs.Default.Counter("wcetlab_store_write_errors_total",
-			"Failed best-effort artifact store writes.", "bench", bench),
+// counters are a pipeline's counters; Stats is built from them.
+type counters struct {
+	link, sim, analyze, profile, alloc *stage
+	upgrades, storeErrors              *obs.Tally
+}
+
+func newCounters(bench string) counters {
+	return counters{
+		link:    newStage("link", bench),
+		sim:     newStage("simulate", bench),
+		analyze: newStage("analyze", bench),
+		profile: newStage("profile", bench),
+		alloc:   newStage("alloc", bench),
+		upgrades: obs.NewTally(obs.Default.Counter("wcetlab_analyze_witness_upgrades_total",
+			"Re-analyses of a cached configuration to attach a witness.", "bench", bench)),
+		storeErrors: obs.NewTally(obs.Default.Counter("wcetlab_store_write_errors_total",
+			"Failed best-effort artifact store writes.", "bench", bench)),
 	}
 }
 
@@ -351,7 +377,7 @@ func NewNamed(prog *obj.Program, bench string) *Pipeline {
 		allocs:   make(map[string]*entry[*Allocation]),
 		profile:  &entry[*sim.Profile]{},
 		bench:    bench,
-		om:       newPipeMetrics(bench),
+		counts:   newCounters(bench),
 	}
 }
 
@@ -374,8 +400,7 @@ func (p *Pipeline) SetStore(s *store.Store) {
 	defer prof.mu.Unlock()
 	if prof.done && prof.err == nil && prof.val != nil {
 		if err := s.SaveProfile(p.programKey(), profileStageKey, prof.val); err != nil {
-			p.count(func(st *Stats) { st.StoreErrors++ })
-			p.om.storeErrors.Inc()
+			p.counts.storeErrors.Inc()
 		}
 	}
 }
@@ -479,27 +504,15 @@ func (p *Pipeline) LinkUnits(ctx context.Context, regions []obj.Region, spmSize 
 		p.links[key] = e
 	}
 	p.mu.Unlock()
-	if ok {
-		p.count(func(s *Stats) { s.LinkHits++ })
-		p.om.link.memHit.Inc()
-	} else {
-		p.om.link.memMiss.Inc()
-	}
+	p.counts.link.memory.count(ok)
 	return e.get(func() (*link.Executable, error) {
 		sp.SetAttr("tier", "compute")
 		prog, err := p.SplitProgram(regions)
 		if err != nil {
 			return nil, err
 		}
-		p.count(func(s *Stats) { s.Links++ })
-		p.om.link.runs.Inc()
-		t0 := time.Now()
-		defer func() {
-			d := time.Since(t0)
-			p.count(func(s *Stats) { s.LinkTime += d })
-			p.om.link.seconds.Observe(d.Seconds())
-			p.debugStage(ctx, "link", key, d)
-		}()
+		p.counts.link.runs.Inc()
+		defer p.timed(ctx, p.counts.link, key, time.Now())
 		if strings.HasSuffix(key, "spm=0|") {
 			// Normalised empty placement: capacity-independent.
 			return link.Link(prog, 0, nil)
@@ -528,25 +541,17 @@ func (p *Pipeline) SimulateUnits(ctx context.Context, regions []obj.Region, spmS
 		p.sims[key] = e
 	}
 	p.mu.Unlock()
-	if ok {
-		p.count(func(s *Stats) { s.SimHits++ })
-		p.om.sim.memHit.Inc()
-	} else {
-		p.om.sim.memMiss.Inc()
-	}
+	p.counts.sim.memory.count(ok)
 	return e.get(func() (*sim.Result, error) {
 		if disk := p.diskStore(); disk != nil {
-			if r, ok := disk.LoadSim(p.programKey(), key); ok {
-				p.count(func(s *Stats) { s.SimDiskHits++ })
-				p.om.sim.diskHit.Inc()
+			r, ok := disk.LoadSim(p.programKey(), key)
+			p.counts.sim.disk.count(ok)
+			if ok {
 				sp.SetAttr("tier", "disk")
 				return r, nil
 			}
-			p.count(func(s *Stats) { s.SimDiskMisses++ })
-			p.om.sim.diskMiss.Inc()
 		}
-		p.count(func(s *Stats) { s.Sims++ })
-		p.om.sim.runs.Inc()
+		p.counts.sim.runs.Inc()
 		sp.SetAttr("tier", "compute")
 		exe, err := p.LinkUnits(sctx, regions, spmSize, inSPM)
 		if err != nil {
@@ -554,10 +559,7 @@ func (p *Pipeline) SimulateUnits(ctx context.Context, regions []obj.Region, spmS
 		}
 		t0 := time.Now()
 		res, err := sim.Run(exe, sim.Options{Cache: ccfg})
-		d := time.Since(t0)
-		p.count(func(s *Stats) { s.SimTime += d })
-		p.om.sim.seconds.Observe(d.Seconds())
-		p.debugStage(ctx, "simulate", key, d)
+		p.timed(ctx, p.counts.sim, key, t0)
 		if err == nil {
 			// Memoize only the counters, as the disk tier does: the final
 			// memory image would pin the run's stack, code and data.
@@ -597,42 +599,27 @@ func (p *Pipeline) AnalyzeUnits(ctx context.Context, regions []obj.Region, spmSi
 
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	upgrade := false
-	switch {
-	case !e.done:
-		p.om.analyze.memMiss.Inc()
-	case e.err == nil && opts.Witness && e.res.Witness == nil:
-		upgrade = true
+	upgrade := e.done && e.err == nil && opts.Witness && e.res.Witness == nil
+	if upgrade {
 		e.done = false
-		p.om.analyze.memMiss.Inc()
-	default:
-		p.count(func(s *Stats) { s.AnalyzeHits++ })
-		p.om.analyze.memHit.Inc()
 	}
+	p.counts.analyze.memory.count(e.done)
 	if !e.done {
 		// Disk tier. LoadWCET treats a witness-less entry as a miss when a
 		// witness is required, which covers both the cold path and the
 		// upgrade of a disk-served witness-less result.
 		if disk := p.diskStore(); disk != nil {
-			if r, ok := disk.LoadWCET(p.programKey(), key, opts.Witness); ok {
-				p.count(func(s *Stats) { s.AnalyzeDiskHits++ })
-				p.om.analyze.diskHit.Inc()
+			r, ok := disk.LoadWCET(p.programKey(), key, opts.Witness)
+			p.counts.analyze.disk.count(ok)
+			if ok {
 				sp.SetAttr("tier", "disk")
 				e.res, e.err, e.done = r, nil, true
 				return e.res, e.err
 			}
-			p.count(func(s *Stats) { s.AnalyzeDiskMisses++ })
-			p.om.analyze.diskMiss.Inc()
 		}
-		p.count(func(s *Stats) {
-			s.Analyses++
-			if upgrade {
-				s.AnalyzeUpgrades++
-			}
-		})
-		p.om.analyze.runs.Inc()
+		p.counts.analyze.runs.Inc()
 		if upgrade {
-			p.om.upgrades.Inc()
+			p.counts.upgrades.Inc()
 		}
 		sp.SetAttr("tier", "compute")
 		// Analyses share a reusable context per partition and cache shape
@@ -640,21 +627,10 @@ func (p *Pipeline) AnalyzeUnits(ctx context.Context, regions []obj.Region, spmSi
 		// built once, and each (capacity, placement) redoes only the work its
 		// delta touches. Results are bit-identical to a from-scratch link +
 		// analyze.
-		wctx, built, err := p.contextFor(sctx, regions, opts)
+		wctx, err := p.contextFor(sctx, regions, opts)
 		if err != nil {
 			e.res, e.err = nil, err
 		} else {
-			p.count(func(s *Stats) {
-				builds, reuses := &s.ContextBuilds, &s.ContextReuses
-				if opts.Cache != nil {
-					builds, reuses = &s.CacheContextBuilds, &s.CacheContextReuses
-				}
-				if built {
-					*builds++
-				} else {
-					*reuses++
-				}
-			})
 			// Mirror LinkUnits' key normalisation: the empty placement
 			// analyses identically at every capacity, including capacities
 			// the linker would reject.
@@ -667,10 +643,7 @@ func (p *Pipeline) AnalyzeUnits(ctx context.Context, regions []obj.Region, spmSi
 			}
 			t0 := time.Now()
 			e.res, e.err = wctx.AnalyzeCtx(sctx, cacheSize, spmSize, inSPM, opts.Witness)
-			d := time.Since(t0)
-			p.count(func(s *Stats) { s.AnalyzeTime += d })
-			p.om.analyze.seconds.Observe(d.Seconds())
-			p.debugStage(ctx, "analyze", key, d)
+			p.timed(ctx, p.counts.analyze, key, t0)
 		}
 		e.done = true
 		if e.err == nil {
@@ -684,9 +657,8 @@ func (p *Pipeline) AnalyzeUnits(ctx context.Context, regions []obj.Region, spmSi
 
 // contextFor returns (memoized, singleflight) the reusable analysis
 // context for one partition and analysis configuration, built from the
-// partition's scratchpad-less base link. built reports whether this call
-// did the cold build.
-func (p *Pipeline) contextFor(ctx context.Context, regions []obj.Region, opts wcet.Options) (*wcet.Context, bool, error) {
+// partition's scratchpad-less base link.
+func (p *Pipeline) contextFor(ctx context.Context, regions []obj.Region, opts wcet.Options) (*wcet.Context, error) {
 	key := contextKey(regions, opts)
 	p.mu.Lock()
 	e, ok := p.contexts[key]
@@ -695,13 +667,11 @@ func (p *Pipeline) contextFor(ctx context.Context, regions []obj.Region, opts wc
 		p.contexts[key] = e
 	}
 	p.mu.Unlock()
-	built := false
-	wctx, err := e.get(func() (*wcet.Context, error) {
+	return e.get(func() (*wcet.Context, error) {
 		base, err := p.LinkUnits(ctx, regions, 0, nil)
 		if err != nil {
 			return nil, err
 		}
-		built = true
 		c, err := wcet.NewContext(base, opts)
 		if err != nil {
 			return nil, err
@@ -711,7 +681,6 @@ func (p *Pipeline) contextFor(ctx context.Context, regions []obj.Region, opts wc
 		p.mu.Unlock()
 		return c, nil
 	})
-	return wctx, built, err
 }
 
 // contextKey is the analysis-context cache key: the partition, the cache
@@ -742,25 +711,20 @@ func (p *Pipeline) Profile(ctx context.Context) (*sim.Profile, error) {
 	p.mu.Unlock()
 	e.mu.Lock()
 	defer e.mu.Unlock()
+	p.counts.profile.memory.count(e.done)
 	if e.done {
-		p.count(func(s *Stats) { s.ProfileHits++ })
-		p.om.profile.memHit.Inc()
 		return e.val, e.err
 	}
-	p.om.profile.memMiss.Inc()
 	if disk := p.diskStore(); disk != nil {
-		if prof, ok := disk.LoadProfile(p.programKey(), profileStageKey); ok {
-			p.count(func(s *Stats) { s.ProfileDiskHits++ })
-			p.om.profile.diskHit.Inc()
+		prof, ok := disk.LoadProfile(p.programKey(), profileStageKey)
+		p.counts.profile.disk.count(ok)
+		if ok {
 			sp.SetAttr("tier", "disk")
 			e.val, e.err, e.done = prof, nil, true
 			return e.val, e.err
 		}
-		p.count(func(s *Stats) { s.ProfileDiskMisses++ })
-		p.om.profile.diskMiss.Inc()
 	}
-	p.count(func(s *Stats) { s.Profiles++ })
-	p.om.profile.runs.Inc()
+	p.counts.profile.runs.Inc()
 	sp.SetAttr("tier", "compute")
 	exe, err := p.Link(sctx, 0, nil)
 	if err != nil {
@@ -768,10 +732,7 @@ func (p *Pipeline) Profile(ctx context.Context) (*sim.Profile, error) {
 	} else {
 		t0 := time.Now()
 		e.val, e.err = sim.CollectProfile(exe, sim.Options{})
-		d := time.Since(t0)
-		p.count(func(s *Stats) { s.ProfileTime += d })
-		p.om.profile.seconds.Observe(d.Seconds())
-		p.debugStage(ctx, "profile", profileStageKey, d)
+		p.timed(ctx, p.counts.profile, profileStageKey, t0)
 	}
 	e.done = true
 	if e.err == nil {
@@ -816,25 +777,18 @@ func (p *Pipeline) Allocate(ctx context.Context, a Allocator, capacity uint32) (
 		p.allocs[key] = e
 	}
 	p.mu.Unlock()
-	if ok {
-		p.count(func(s *Stats) { s.AllocHits++ })
-		p.om.alloc.memHit.Inc()
-	} else {
-		p.om.alloc.memMiss.Inc()
-	}
+	p.counts.alloc.memory.count(ok)
 	return e.get(func() (*Allocation, error) {
 		if disk := p.diskStore(); disk != nil {
-			if art, ok := disk.LoadAlloc(p.programKey(), key); ok {
-				p.count(func(s *Stats) { s.AllocDiskHits++ })
-				p.om.alloc.diskHit.Inc()
+			art, ok := disk.LoadAlloc(p.programKey(), key)
+			p.counts.alloc.disk.count(ok)
+			if ok {
 				sp.SetAttr("tier", "disk")
 				return &Allocation{
 					InSPM: art.InSPM, Benefit: art.Benefit, Used: art.Used, Splits: art.Splits,
 					Iterations: int(art.Iterations), Converged: art.Converged,
 				}, nil
 			}
-			p.count(func(s *Stats) { s.AllocDiskMisses++ })
-			p.om.alloc.diskMiss.Inc()
 		}
 		sp.SetAttr("tier", "compute")
 		alloc, err := p.runAllocate(sctx, a, capacity)
@@ -851,25 +805,25 @@ func (p *Pipeline) Allocate(ctx context.Context, a Allocator, capacity uint32) (
 }
 
 func (p *Pipeline) runAllocate(ctx context.Context, a Allocator, capacity uint32) (*Allocation, error) {
-	p.count(func(s *Stats) { s.Allocs++ })
-	p.om.alloc.runs.Inc()
+	p.counts.alloc.runs.Inc()
 	t0 := time.Now()
 	alloc, err := a.Allocate(ctx, p, capacity)
-	d := time.Since(t0)
-	p.count(func(s *Stats) { s.AllocTime += d })
-	p.om.alloc.seconds.Observe(d.Seconds())
-	p.debugStage(ctx, "alloc", fmt.Sprintf("%s|cap=%d", a.Name(), capacity), d)
+	p.timed(ctx, p.counts.alloc, fmt.Sprintf("%s|cap=%d", a.Name(), capacity), t0)
 	return alloc, err
 }
 
-// debugStage emits one debug record per cold stage execution — visible
-// only at `-log debug`, and cost-free below it (one atomic load).
-func (p *Pipeline) debugStage(ctx context.Context, stage, key string, d time.Duration) {
+// timed records one cold execution that started at t0: its wall clock goes
+// to the stage's sum and latency histogram, and to one debug record —
+// visible only at `-log debug`, and cost-free below it (one atomic load).
+func (p *Pipeline) timed(ctx context.Context, st *stage, key string, t0 time.Time) {
+	d := time.Since(t0)
+	st.nanos.Add(int64(d))
+	st.seconds.Observe(d.Seconds())
 	if !obs.DebugEnabled() {
 		return
 	}
 	obs.Debug(ctx, "stage",
-		obs.A("stage", stage), obs.A("bench", p.bench), obs.A("key", key),
+		obs.A("stage", st.name), obs.A("bench", p.bench), obs.A("key", key),
 		obs.A("dur_ms", float64(d)/float64(time.Millisecond)))
 }
 
@@ -904,30 +858,36 @@ func StageLatency(bench string) map[string]obs.HistogramSnapshot {
 	return out
 }
 
-// Stats returns a snapshot of the stage counters.
+// Stats returns a snapshot of the stage counters. Context builds and
+// reuses are derived from the registered contexts: one build each, and
+// every analysis after a context's first is a reuse.
 func (p *Pipeline) Stats() Stats {
-	p.mu.Lock()
-	s := p.stats
-	ctxs := append([]*wcet.Context(nil), p.ctxList...)
-	p.mu.Unlock()
+	var s Stats
+	n := &p.counts
+	s.Links, s.LinkHits, _, _, s.LinkTime = n.link.read()
+	s.Sims, s.SimHits, s.SimDiskHits, s.SimDiskMisses, s.SimTime = n.sim.read()
+	s.Analyses, s.AnalyzeHits, s.AnalyzeDiskHits, s.AnalyzeDiskMisses, s.AnalyzeTime = n.analyze.read()
+	s.Profiles, s.ProfileHits, s.ProfileDiskHits, s.ProfileDiskMisses, s.ProfileTime = n.profile.read()
+	s.Allocs, s.AllocHits, s.AllocDiskHits, s.AllocDiskMisses, s.AllocTime = n.alloc.read()
+	s.AnalyzeUpgrades, s.StoreErrors = n.upgrades.Value(), n.storeErrors.Value()
 	s.FullLinks = s.Links
-	// Fold in the contexts' counters from their atomics — never their
-	// locks, which an in-flight compute may hold for the length of a solve.
+	p.mu.Lock()
+	ctxs := slices.Clone(p.ctxList)
+	p.mu.Unlock()
 	for _, c := range ctxs {
-		h, m := c.StateCounts()
-		s.SolverStateHits += h
-		s.SolverStateMisses += m
-		re, total := c.FuncCounts()
-		s.CacheFuncsReanalyzed += re
-		s.CacheFuncs += total
+		cs := c.Stats()
+		builds, reuses := &s.ContextBuilds, &s.ContextReuses
+		if c.HasCache() {
+			builds, reuses = &s.CacheContextBuilds, &s.CacheContextReuses
+			s.CacheFuncsReanalyzed += cs.FuncsReanalyzed
+			s.CacheFuncs += cs.FuncsTotal
+		}
+		*builds++
+		*reuses += max(cs.Analyses, 1) - 1
+		s.SolverStateHits += cs.StateHits
+		s.SolverStateMisses += cs.StateMisses
 	}
 	return s
-}
-
-func (p *Pipeline) count(f func(*Stats)) {
-	p.mu.Lock()
-	f(&p.stats)
-	p.mu.Unlock()
 }
 
 func (p *Pipeline) diskStore() *store.Store {
@@ -944,7 +904,6 @@ func (p *Pipeline) storeSave(save func(*store.Store) error) {
 		return
 	}
 	if err := save(disk); err != nil {
-		p.count(func(s *Stats) { s.StoreErrors++ })
-		p.om.storeErrors.Inc()
+		p.counts.storeErrors.Inc()
 	}
 }

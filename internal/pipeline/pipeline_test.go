@@ -7,6 +7,8 @@ import (
 
 	"repro/internal/cache"
 	"repro/internal/cc"
+	"repro/internal/link"
+	"repro/internal/obs"
 	"repro/internal/pipeline"
 	"repro/internal/wcet"
 )
@@ -148,6 +150,37 @@ func TestWitnessUpgrade(t *testing.T) {
 	s := p.Stats()
 	if s.Analyses != 2 || s.AnalyzeUpgrades != 1 || s.AnalyzeHits != 1 {
 		t.Errorf("analyses=%d upgrades=%d hits=%d, want 2/1/1", s.Analyses, s.AnalyzeUpgrades, s.AnalyzeHits)
+	}
+}
+
+// TestRejectedPlacementIsNotAReuse: an analysis whose placement overflows
+// the scratchpad returns the link error and serves nothing from the
+// analysis context, so it counts as a reuse neither in Stats nor in the
+// registry.
+func TestRejectedPlacementIsNotAReuse(t *testing.T) {
+	p := compile(t)
+	ctx := context.Background()
+	if _, err := p.Analyze(ctx, 0, nil, wcet.Options{}); err != nil {
+		t.Fatal(err)
+	}
+	reuses := func() uint64 { return obs.Default.CounterTotal("wcetlab_context_reuses_total") }
+	before, regBefore := p.Stats(), reuses()
+
+	in := map[string]bool{"a": true} // 128 bytes
+	_, want := link.Link(p.Prog, 4, in)
+	if want == nil {
+		t.Fatal("a 128-byte object linked into a 4-byte scratchpad")
+	}
+	if _, err := p.Analyze(ctx, 4, in, wcet.Options{}); err == nil || err.Error() != want.Error() {
+		t.Fatalf("analysis error %v, want the link error %v", err, want)
+	}
+	s := p.Stats()
+	if s.ContextBuilds != 1 || s.ContextReuses != before.ContextReuses {
+		t.Errorf("context builds %d, reuses %d -> %d; want 1 build and no reuse",
+			s.ContextBuilds, before.ContextReuses, s.ContextReuses)
+	}
+	if got := reuses(); got != regBefore {
+		t.Errorf("wcetlab_context_reuses_total moved %d -> %d on a rejected placement", regBefore, got)
 	}
 }
 

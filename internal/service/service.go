@@ -79,6 +79,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"repro/internal/alloc"
 	"repro/internal/benchprog"
 	"repro/internal/cache"
 	"repro/internal/core"
@@ -87,7 +88,6 @@ import (
 	"repro/internal/pipeline"
 	"repro/internal/store"
 	"repro/internal/wcet"
-	"repro/internal/wcetalloc"
 )
 
 // Process-wide HTTP gauges: requests inside a handler, and requests
@@ -613,7 +613,7 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 	if branch == "" {
 		branch = "spm"
 	}
-	gran, err := wcetalloc.ParseGranularity(q.Get("granularity"))
+	gran, err := alloc.ParseGranularity(q.Get("granularity"))
 	if err != nil {
 		s.writeError(w, http.StatusBadRequest, "granularity must be object or block")
 		return

@@ -1,9 +1,12 @@
+// Tests of the energy-directed scratchpad allocation: the Steinke
+// knapsack of internal/alloc over profiled candidate objects.
 package spm
 
 import (
 	"math"
 	"testing"
 
+	"repro/internal/alloc"
 	"repro/internal/cc"
 	"repro/internal/energy"
 	"repro/internal/link"
@@ -43,6 +46,11 @@ func profileOf(t *testing.T, src string) (*obj.Program, *sim.Profile) {
 	return prog, prof
 }
 
+// energyItems builds the energy knapsack's candidate items.
+func energyItems(prog *obj.Program, prof *sim.Profile, capacity uint32, m energy.Model) []alloc.Item {
+	return alloc.Candidates(prog, alloc.Evidence{Profile: prof}, alloc.EnergyObjective{Model: m}, capacity)
+}
+
 func TestHotObjectsPreferred(t *testing.T) {
 	prog, prof := profileOf(t, hotColdProgram)
 	m := energy.Default()
@@ -50,7 +58,7 @@ func TestHotObjectsPreferred(t *testing.T) {
 	hotFn := prog.Object("hot").Size()
 	hotData := prog.Object("hot_data").Size()
 	capacity := hotFn + hotData + 64
-	a, err := Allocate(prog, prof, capacity, m)
+	a, err := alloc.Knapsack(energyItems(prog, prof, capacity, m), capacity)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -69,11 +77,11 @@ func TestILPAgreesWithDP(t *testing.T) {
 	prog, prof := profileOf(t, hotColdProgram)
 	m := energy.Default()
 	for _, capacity := range []uint32{64, 128, 256, 512, 1024, 2048, 4096, 8192} {
-		ilpA, err := Allocate(prog, prof, capacity, m)
+		ilpA, err := alloc.Knapsack(energyItems(prog, prof, capacity, m), capacity)
 		if err != nil {
 			t.Fatalf("capacity %d: ilp: %v", capacity, err)
 		}
-		dpA, err := AllocateDP(prog, prof, capacity, m)
+		dpA, err := alloc.KnapsackDP(energyItems(prog, prof, capacity, m), capacity)
 		if err != nil {
 			t.Fatalf("capacity %d: dp: %v", capacity, err)
 		}
@@ -89,7 +97,7 @@ func TestBenefitMonotoneInCapacity(t *testing.T) {
 	m := energy.Default()
 	last := -1.0
 	for _, capacity := range []uint32{64, 128, 256, 512, 1024, 2048, 4096, 8192} {
-		a, err := AllocateDP(prog, prof, capacity, m)
+		a, err := alloc.KnapsackDP(energyItems(prog, prof, capacity, m), capacity)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -102,7 +110,7 @@ func TestBenefitMonotoneInCapacity(t *testing.T) {
 
 func TestZeroCapacityAllocatesNothing(t *testing.T) {
 	prog, prof := profileOf(t, hotColdProgram)
-	a, err := Allocate(prog, prof, 0, energy.Default())
+	a, err := alloc.Knapsack(energyItems(prog, prof, 0, energy.Default()), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -122,7 +130,7 @@ func TestAllocatedProgramStillCorrectAndFaster(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, capacity := range []uint32{256, 1024, 8192} {
-		a, err := Allocate(prog, prof, capacity, energy.Default())
+		a, err := alloc.Knapsack(energyItems(prog, prof, capacity, energy.Default()), capacity)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -158,7 +166,7 @@ func TestProgramEnergyDecreasesWithAllocation(t *testing.T) {
 	prog, prof := profileOf(t, hotColdProgram)
 	m := energy.Default()
 	e0 := m.ProgramEnergy(prog, prof, nil)
-	a, err := AllocateDP(prog, prof, 8192, m)
+	a, err := alloc.KnapsackDP(energyItems(prog, prof, 8192, m), 8192)
 	if err != nil {
 		t.Fatal(err)
 	}

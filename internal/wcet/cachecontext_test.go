@@ -194,13 +194,13 @@ func TestCacheContextStablePlacementSkipsReanalysis(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		hits, _ := ctx.StateCounts()
+		hits := ctx.Stats().StateHits
 		solved := ctx.Stats().FuncsSolved
 		res, err := ctx.Analyze(0, 512, a, true)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if h, _ := ctx.StateCounts(); h == hits {
+		if h := ctx.Stats().StateHits; h == hits {
 			t.Fatalf("revisiting placement A hit the solution memo 0 times")
 		}
 		if s := ctx.Stats().FuncsSolved; s != solved {

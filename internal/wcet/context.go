@@ -52,17 +52,8 @@ var (
 		"Per-function IPET solves that ran because the in-process solution memo had no entry for their block costs and callee bounds.")
 )
 
-// ctxMetrics is the series set a context counts builds, reuses and
-// functions in scope into, chosen once at construction.
-type ctxMetrics struct{ builds, reuses, funcs *obs.Counter }
-
-var (
-	plainMetrics = ctxMetrics{mCtxBuilds, mCtxReuses, mCtxFuncsTotal}
-	cacheMetrics = ctxMetrics{mCCtxBuilds, mCCtxReuses, mCCtxFuncsTotal}
-)
-
-// ContextStats are one Context's cumulative reuse counters, for tests and
-// the pipeline's statistics tables.
+// ContextStats are one Context's cumulative reuse counters — the only
+// per-context record of them — for tests and the pipeline's Stats.
 type ContextStats struct {
 	// Analyses is the number of Analyze calls served.
 	Analyses uint64
@@ -83,6 +74,42 @@ type ContextStats struct {
 	FuncsReanalyzed uint64
 	// FuncsTotal: functions in scope, summed over analyses.
 	FuncsTotal uint64
+	// StateHits / StateMisses: per-function IPET solves served from the
+	// in-process solution memo vs solves that had to run.
+	StateHits, StateMisses uint64
+}
+
+// ctxCounters are a context's live counters. Each writes through to its
+// process-wide series (chosen by the context's domain at construction),
+// so one call per event keeps ContextStats and the registry in step, and
+// Stats reads them without the lock an in-flight analysis holds.
+type ctxCounters struct {
+	analyses                    atomic.Uint64
+	reuses                      *obs.Counter
+	blocksRepriced, blocksTotal *obs.Tally
+	funcsSolved, funcsTotal     *obs.Tally
+	funcsReanalyzed             *obs.Tally
+	stateHits, stateMisses      *obs.Tally
+}
+
+// newCtxCounters returns a built context's counters and counts the build.
+func newCtxCounters(cached bool) *ctxCounters {
+	builds, reuses, solved, funcs := mCtxBuilds, mCtxReuses, mCtxFuncsSolved, mCtxFuncsTotal
+	if cached {
+		// The cache domain has no solved-functions series of its own.
+		builds, reuses, solved, funcs = mCCtxBuilds, mCCtxReuses, nil, mCCtxFuncsTotal
+	}
+	builds.Inc()
+	return &ctxCounters{
+		reuses:          reuses,
+		blocksRepriced:  obs.NewTally(mCtxBlocksRepriced),
+		blocksTotal:     obs.NewTally(mCtxBlocksTotal),
+		funcsSolved:     obs.NewTally(solved),
+		funcsTotal:      obs.NewTally(funcs),
+		funcsReanalyzed: obs.NewTally(mCCtxFuncsReanalyzed),
+		stateHits:       obs.NewTally(mSolverHits),
+		stateMisses:     obs.NewTally(mSolverMisses),
+	}
 }
 
 // symAccKind distinguishes how a data access's address resolves against a
@@ -264,7 +291,6 @@ type Context struct {
 	// shape is the cache shape with Size zeroed (set per Analyze); nil
 	// means no cache domain.
 	shape *cache.Config
-	m     ctxMetrics
 
 	objIdx  map[string]int32
 	objName []string
@@ -293,10 +319,7 @@ type Context struct {
 	// keyBuf is scratch space for state and solve keys.
 	keyBuf []byte
 
-	stats ContextStats
-	// Atomic mirrors so stats readers never block on an in-flight analysis.
-	stateHits, stateMisses   atomic.Uint64
-	funcsReanalyzed, funcsIn atomic.Uint64
+	n *ctxCounters
 }
 
 // NewContext builds the reusable analysis context for the program behind
@@ -332,7 +355,6 @@ func NewContext(base *link.Executable, opts Options) (*Context, error) {
 	n := len(base.Placements)
 	c := &Context{
 		base: base, order: order, root: root, stackLo: stackLo,
-		m:       plainMetrics,
 		objIdx:  make(map[string]int32, n),
 		objName: make([]string, n),
 		objSize: make([]uint32, n),
@@ -343,7 +365,7 @@ func NewContext(base *link.Executable, opts Options) (*Context, error) {
 	if opts.Cache != nil {
 		shape := opts.Cache.WithDefaults()
 		shape.Size = 0
-		c.shape, c.m = &shape, cacheMetrics
+		c.shape = &shape
 		c.stateIDs = make(map[string]int32)
 		c.pools = make(map[uint32]*statePool)
 	}
@@ -401,7 +423,7 @@ func NewContext(base *link.Executable, opts Options) (*Context, error) {
 	for _, name := range order {
 		c.funcs[name].callers = sortedNames(callers[name])
 	}
-	c.m.builds.Inc()
+	c.n = newCtxCounters(c.shape != nil)
 	return c, nil
 }
 
@@ -577,10 +599,9 @@ func (c *Context) Analyze(cacheSize, spmSize uint32, inSPM map[string]bool, witn
 		return nil, fmt.Errorf("wcet: cache size %d for a context without a cache domain", cacheSize)
 	}
 
-	if c.stats.Analyses > 0 {
-		c.m.reuses.Inc()
+	if c.n.analyses.Add(1) > 1 {
+		c.n.reuses.Inc()
 	}
-	c.stats.Analyses++
 
 	res := &Result{PerFunction: make(map[string]uint64, len(c.order))}
 	if c.shape == nil {
@@ -614,15 +635,13 @@ func (c *Context) Analyze(cacheSize, spmSize uint32, inSPM map[string]bool, witn
 			key := c.solveKey(cf)
 			sol := cf.sols[string(key)]
 			if sol != nil {
-				c.stateHits.Add(1)
-				mSolverHits.Inc()
+				c.n.stateHits.Inc()
 			} else {
 				if sol, err = c.solveFunc(cf); err != nil {
 					return nil, err
 				}
 				solved++
-				c.stateMisses.Add(1)
-				mSolverMisses.Inc()
+				c.n.stateMisses.Inc()
 				putCapped(cf.sols, string(key), sol)
 			}
 			if cf.sol == nil || sol.wcet != cf.sol.wcet {
@@ -632,15 +651,8 @@ func (c *Context) Analyze(cacheSize, spmSize uint32, inSPM map[string]bool, witn
 		}
 		res.PerFunction[name] = cf.sol.wcet
 	}
-	nf := uint64(len(c.order))
-	c.stats.FuncsSolved += solved
-	c.stats.FuncsTotal += nf
-	c.m.funcs.Add(nf)
-	if c.shape == nil {
-		mCtxFuncsSolved.Add(solved)
-	} else {
-		c.funcsIn.Add(nf)
-	}
+	c.n.funcsSolved.Add(solved)
+	c.n.funcsTotal.Add(uint64(len(c.order)))
 
 	res.WCET = res.PerFunction[c.root]
 	if witness {
@@ -671,10 +683,8 @@ func (c *Context) reprice(lay []link.ObjLayout) {
 		}
 	}
 	c.cur = in
-	c.stats.BlocksRepriced += repriced
-	c.stats.BlocksTotal += c.nblocks
-	mCtxBlocksRepriced.Add(repriced)
-	mCtxBlocksTotal.Add(c.nblocks)
+	c.n.blocksRepriced.Add(repriced)
+	c.n.blocksTotal.Add(c.nblocks)
 }
 
 // replayMust brings every function's MUST record, and so its block costs,
@@ -777,10 +787,7 @@ func (c *Context) replayMust(cc cache.Config, lay []link.ObjLayout, spmSize uint
 	}
 	c.lay, c.laySize, c.laySpm = lay, cc.Size, spmSize
 
-	n := uint64(len(reran))
-	c.stats.FuncsReanalyzed += n
-	c.funcsReanalyzed.Add(n)
-	mCCtxFuncsReanalyzed.Add(n)
+	c.n.funcsReanalyzed.Add(uint64(len(reran)))
 	return nil
 }
 
@@ -1130,25 +1137,23 @@ func (c *Context) rebuildWitness() *Witness {
 // Root reports the analysis root the context was built for.
 func (c *Context) Root() string { return c.root }
 
-// Stats returns the context's cumulative reuse counters.
+// HasCache reports whether the context has a cache domain.
+func (c *Context) HasCache() bool { return c.shape != nil }
+
+// Stats returns the context's cumulative reuse counters. It takes no lock,
+// so it never waits for an in-flight analysis; a snapshot taken during one
+// may show part of that analysis's counts.
 func (c *Context) Stats() ContextStats {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.stats
-}
-
-// StateCounts returns the solution memo's hit/miss counters. Safe to call
-// without blocking an in-flight analysis.
-func (c *Context) StateCounts() (hits, misses uint64) {
-	return c.stateHits.Load(), c.stateMisses.Load()
-}
-
-// FuncCounts reads the MUST re-analysis counters — functions whose fixed
-// point re-ran vs functions in scope, both zero without a cache domain —
-// without taking the context lock (which an in-flight analysis may hold for
-// the length of a solve).
-func (c *Context) FuncCounts() (reanalyzed, total uint64) {
-	return c.funcsReanalyzed.Load(), c.funcsIn.Load()
+	return ContextStats{
+		Analyses:        c.n.analyses.Load(),
+		BlocksRepriced:  c.n.blocksRepriced.Value(),
+		BlocksTotal:     c.n.blocksTotal.Value(),
+		FuncsSolved:     c.n.funcsSolved.Value(),
+		FuncsReanalyzed: c.n.funcsReanalyzed.Value(),
+		FuncsTotal:      c.n.funcsTotal.Value(),
+		StateHits:       c.n.stateHits.Value(),
+		StateMisses:     c.n.stateMisses.Value(),
+	}
 }
 
 // sortedNames returns the set's keys in sorted order.
