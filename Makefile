@@ -64,10 +64,16 @@ wcetlab:
 
 # Warm-store determinism: run the full regeneration twice against one
 # shared artifact store; the second pass must report zero disk misses
-# (nothing recomputed) and print byte-identical tables and figures.
+# (nothing recomputed) and print byte-identical tables and figures. The
+# cold pass must also price some scratchpad simulations from the profile
+# and fall back on none, so a silently disabled derivation or a tripped
+# exactness guard fails here.
 warmstore: wcetlab
 	@set -e; dir=$$(mktemp -d); trap 'rm -rf "$$dir"' EXIT; \
 	./bin/wcetlab -store "$$dir/store" all > "$$dir/cold.txt"; \
+	grep -Eq '^simulations: [0-9]+ run, [1-9][0-9]* derived, 0 fallbacks$$' "$$dir/cold.txt" || { \
+		echo "warmstore: cold run derived no simulation or fell back:"; \
+		grep '^simulations:' "$$dir/cold.txt"; exit 1; }; \
 	./bin/wcetlab -store "$$dir/store" all > "$$dir/warm.txt"; \
 	grep -Eq 'artifact store: [0-9]+ disk hits, 0 disk misses' "$$dir/warm.txt" || { \
 		echo "warmstore: warm run had disk misses:"; \
@@ -77,7 +83,7 @@ warmstore: wcetlab
 	cmp -s "$$dir/cold.head" "$$dir/warm.head" || { \
 		echo "warmstore: warm output differs from cold:"; \
 		diff "$$dir/cold.head" "$$dir/warm.head" | head -20; exit 1; }; \
-	echo "warmstore: ok (zero disk misses, identical figures)"
+	echo "warmstore: ok (derived simulations, zero disk misses, identical figures)"
 
 # HTTP smoke: start `wcetlab serve` (with periodic GC enabled) on an
 # ephemeral port, make one /v1/wcet request and one /v1/stats request

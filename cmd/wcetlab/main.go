@@ -648,8 +648,10 @@ func printStageLatency(labs []*core.Lab) {
 }
 
 // printPipelineStats renders per-benchmark stage counters and wall-clock,
-// and the store tier's hit/miss totals (what CI asserts stays at zero
-// misses on a warm second run).
+// the simulations run, derived from the profile and fallen back (CI
+// asserts a cold run derives some and falls back on none), and the store
+// tier's hit/miss totals (what CI asserts stays at zero misses on a warm
+// second run).
 func printPipelineStats(labs []*core.Lab) {
 	header("Pipeline statistics")
 	ms := func(d time.Duration) float64 { return float64(d) / float64(time.Millisecond) }
@@ -668,6 +670,7 @@ func printPipelineStats(labs []*core.Lab) {
 	}
 	fmt.Printf("\nstage wall-clock: link %.1fms, simulate %.1fms, analyse %.1fms, profile %.1fms, allocate %.1fms\n",
 		ms(total.LinkTime), ms(total.SimTime), ms(total.AnalyzeTime), ms(total.ProfileTime), ms(total.AllocTime))
+	fmt.Printf("simulations: %d run, %d derived, %d fallbacks\n", total.Sims, total.SimsDerived, total.SimDeriveFallbacks)
 	if artifactStore != nil {
 		fmt.Printf("artifact store: %d disk hits, %d disk misses (%s)\n",
 			total.DiskHits(), total.DiskMisses(), artifactStore.Dir())

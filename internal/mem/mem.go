@@ -37,6 +37,14 @@ func MainCost(width uint8) int {
 	return MainHalfCycles
 }
 
+// SPMSaving returns the cycles saved by serving n accesses of the given
+// width in bytes from the scratchpad instead of main memory. Both the
+// simulator's derived scratchpad results and the WCET witness's benefit
+// price a scratchpad access with it.
+func SPMSaving(width uint8, n uint64) uint64 {
+	return n * uint64(MainCost(width)-SPMCycles)
+}
+
 // Segment is a contiguous backed address range.
 type Segment struct {
 	Name string

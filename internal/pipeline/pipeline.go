@@ -3,7 +3,7 @@
 // memoized stages —
 //
 //	Link(placement)            → Executable
-//	Simulate(placement, cache) → simulation result
+//	Simulate(placement, cache) → simulation result (run, or priced from the profile)
 //	Analyze(placement, opts)   → WCET bound (+ witness)
 //	Profile()                  → typical-input access profile
 //	Allocate(policy, capacity) → scratchpad allocation
@@ -29,6 +29,17 @@
 // or analysis, so with a warm store it never runs at all. Stats splits the
 // tiers: *Hits are memory hits, *DiskHits/*DiskMisses count store lookups,
 // and runs (Links, Sims, Analyses, Profiles, Allocs) are cold executions.
+//
+// A simulation that misses both tiers is computed one of two ways. A
+// cache-less placement at whole-object granularity is derived from the
+// profile (sim.Derive): the profiled run's cycles minus the scratchpad
+// saving of each resident object, counted in Stats.SimsDerived. Every
+// other simulation (a cache, or a split partition) runs the simulator.
+// Derivation is exact only while the program's behaviour does not depend
+// on its layout, so the first non-empty placement a pipeline derives is
+// also simulated for real (concurrent requests wait for it). On a mismatch
+// the pipeline counts one Stats.SimDeriveFallbacks and serves real runs
+// from then on. Derived results are memoized and persisted like real ones.
 //
 // # Keying scheme
 //
@@ -124,17 +135,20 @@ type Allocator interface {
 // Sims, Analyses, Profiles, Allocs) are cold executions; *Hits are
 // requests served from the memory tier; *DiskHits/*DiskMisses count disk
 // lookups by memory misses when a store is attached (a disk miss always
-// pairs with a run). AnalyzeUpgrades counts re-runs of an already-analysed
-// configuration to attach a witness — the only way a configuration is ever
-// analysed twice. The *Time fields accumulate wall clock spent in cold
-// stage executions; AllocTime is the allocators' wall clock and includes
-// the nested stage computations a solve triggers (e.g. the WCET-directed
-// fixpoint's analyses), so it is not disjoint from AnalyzeTime.
+// pairs with a run, or for a simulation with a run or a derivation).
+// AnalyzeUpgrades counts re-runs of an already-analysed configuration to
+// attach a witness — the only way a configuration is ever analysed twice.
+// The *Time fields accumulate wall clock spent in cold stage executions (a
+// derived simulation adds nothing); AllocTime is the allocators' wall
+// clock and includes the nested stage computations a solve triggers (e.g.
+// the WCET-directed fixpoint's analyses), so it is not disjoint from
+// AnalyzeTime.
 //
 // Stats is a projection: Pipeline.Stats builds it from the pipeline's
 // per-stage counters, each of which also moves its wcetlab_stage_* (or
-// wcetlab_analyze_witness_upgrades_total, wcetlab_store_write_errors_total)
-// series in the same call, and from the ContextStats of the pipeline's
+// wcetlab_analyze_witness_upgrades_total, wcetlab_store_write_errors_total,
+// wcetlab_sim_derived_total, wcetlab_sim_derive_fallbacks_total) series in
+// the same call, and from the ContextStats of the pipeline's
 // analysis contexts, which write through to the wcetlab_context_*,
 // wcetlab_cache_context_* and wcetlab_solver_state_* series.
 type Stats struct {
@@ -144,6 +158,12 @@ type Stats struct {
 	AnalyzeUpgrades       uint64
 	Profiles, ProfileHits uint64
 	Allocs, AllocHits     uint64
+
+	// SimsDerived counts simulations priced from the profile instead of
+	// run (Sims counts real runs only, the exactness check among them);
+	// SimDeriveFallbacks counts checks that mismatched, after which the
+	// pipeline derives nothing more.
+	SimsDerived, SimDeriveFallbacks uint64
 
 	// ContextBuilds counts reusable analysis contexts without a cache
 	// domain built (cold: CFG + IPET skeletons + block decomposition);
@@ -199,6 +219,8 @@ func (s *Stats) Add(o Stats) {
 	s.LinkHits += o.LinkHits
 	s.Sims += o.Sims
 	s.SimHits += o.SimHits
+	s.SimsDerived += o.SimsDerived
+	s.SimDeriveFallbacks += o.SimDeriveFallbacks
 	s.Analyses += o.Analyses
 	s.AnalyzeHits += o.AnalyzeHits
 	s.AnalyzeUpgrades += o.AnalyzeUpgrades
@@ -254,6 +276,7 @@ type Pipeline struct {
 
 	bench  string
 	counts counters
+	guard  deriveGuard
 
 	progOnce sync.Once
 	progKey  string
@@ -314,6 +337,7 @@ func (s *stage) read() (runs, memHits, diskHits, diskMisses uint64, d time.Durat
 type counters struct {
 	link, sim, analyze, profile, alloc *stage
 	upgrades, storeErrors              *obs.Tally
+	derived, fallbacks                 *obs.Tally
 }
 
 func newCounters(bench string) counters {
@@ -327,8 +351,25 @@ func newCounters(bench string) counters {
 			"Re-analyses of a cached configuration to attach a witness.", "bench", bench)),
 		storeErrors: obs.NewTally(obs.Default.Counter("wcetlab_store_write_errors_total",
 			"Failed best-effort artifact store writes.", "bench", bench)),
+		derived: obs.NewTally(obs.Default.Counter("wcetlab_sim_derived_total",
+			"Simulations priced from the profile instead of run.", "bench", bench)),
+		fallbacks: obs.NewTally(obs.Default.Counter("wcetlab_sim_derive_fallbacks_total",
+			"Derived simulations that mismatched their real run; derivation stops.", "bench", bench)),
 	}
 }
+
+// deriveGuard is the exactness check behind derived simulations: the
+// first non-empty placement derived is compared with a real run.
+type deriveGuard struct {
+	mu    sync.Mutex // held through the check run
+	state atomic.Int32
+}
+
+const (
+	guardUnchecked int32 = iota
+	guardExact           // the check matched: derive
+	guardOff             // the check mismatched: run everything for real
+)
 
 // entry is a singleflight cache slot: the first getter computes under the
 // entry lock, later getters (and concurrent ones, after blocking) reuse.
@@ -381,7 +422,11 @@ func NewNamed(prog *obj.Program, bench string) *Pipeline {
 	}
 }
 
-const profileStageKey = "profile"
+// profileStageKey addresses the profile in the disk tier. Profiles stored
+// under the earlier key "profile" carry no per-width counts, and deriving
+// from one would price every placement at zero saving, so they are never
+// read.
+const profileStageKey = "profile|widths"
 
 // SetStore attaches (or, with nil, detaches) the on-disk artifact store as
 // the second cache tier. Attach before first use so cold stages are served
@@ -551,25 +596,92 @@ func (p *Pipeline) SimulateUnits(ctx context.Context, regions []obj.Region, spmS
 				return r, nil
 			}
 		}
-		p.counts.sim.runs.Inc()
-		sp.SetAttr("tier", "compute")
 		exe, err := p.LinkUnits(sctx, regions, spmSize, inSPM)
 		if err != nil {
 			return nil, err
 		}
-		t0 := time.Now()
-		res, err := sim.Run(exe, sim.Options{Cache: ccfg})
-		p.timed(ctx, p.counts.sim, key, t0)
+		var res *sim.Result
+		if ccfg == nil && len(regions) == 0 {
+			res, err = p.simulateDerived(sctx, sp, exe, key)
+		} else {
+			res, err = p.run(ctx, sp, exe, ccfg, key)
+		}
 		if err == nil {
-			// Memoize only the counters, as the disk tier does: the final
-			// memory image would pin the run's stack, code and data.
-			res.Mem = nil
 			p.storeSave(func(disk *store.Store) error {
 				return disk.SaveSim(p.programKey(), key, res)
 			})
 		}
 		return res, err
 	})
+}
+
+// run simulates exe for real: one cold execution of the simulate stage.
+// It keeps only the counters, as the disk tier does: the final memory
+// image would pin the run's stack, code and data.
+func (p *Pipeline) run(ctx context.Context, sp *obs.Span, exe *link.Executable, ccfg *cache.Config, key string) (*sim.Result, error) {
+	p.counts.sim.runs.Inc()
+	sp.SetAttr("tier", "compute")
+	t0 := time.Now()
+	res, err := sim.Run(exe, sim.Options{Cache: ccfg})
+	p.timed(ctx, p.counts.sim, key, t0)
+	if err != nil {
+		return nil, err
+	}
+	res.Mem = nil
+	return res, nil
+}
+
+// simulateDerived serves a cache-less whole-object placement from the
+// profile, unless the exactness guard has tripped. The first non-empty
+// placement is also run for real, and that run is its result.
+func (p *Pipeline) simulateDerived(ctx context.Context, sp *obs.Span, exe *link.Executable, key string) (*sim.Result, error) {
+	state := p.guard.state.Load()
+	if state == guardOff {
+		return p.run(ctx, sp, exe, nil, key)
+	}
+	prof, err := p.Profile(ctx)
+	if err != nil {
+		return nil, err
+	}
+	res := sim.Derive(prof, exe)
+	if state == guardUnchecked && slices.ContainsFunc(exe.Placements, func(pl *link.Placement) bool { return pl.InSPM }) {
+		real, exact, err := p.check(ctx, sp, exe, key, res)
+		if real != nil || err != nil {
+			return real, err
+		}
+		if !exact {
+			return p.run(ctx, sp, exe, nil, key)
+		}
+	}
+	p.counts.derived.Inc()
+	sp.SetAttr("tier", "derived")
+	return res, nil
+}
+
+// check makes the exactness check once per pipeline: it simulates the
+// placement behind derived and compares cycles, instructions and exit
+// code. Concurrent callers wait for it. It returns the real result when
+// this call made the check, and otherwise whether the check found
+// derivation exact. A run that fails leaves the check to the next
+// placement.
+func (p *Pipeline) check(ctx context.Context, sp *obs.Span, exe *link.Executable, key string, derived *sim.Result) (real *sim.Result, exact bool, err error) {
+	g := &p.guard
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	if s := g.state.Load(); s != guardUnchecked {
+		return nil, s == guardExact, nil
+	}
+	if real, err = p.run(ctx, sp, exe, nil, key); err != nil {
+		return nil, false, err
+	}
+	exact = real.Cycles == derived.Cycles && real.Instrs == derived.Instrs && real.ExitCode == derived.ExitCode
+	if exact {
+		g.state.Store(guardExact)
+	} else {
+		g.state.Store(guardOff)
+		p.counts.fallbacks.Inc()
+	}
+	return real, exact, nil
 }
 
 // Analyze runs (memoized) the WCET analysis for one placement and analysis
@@ -870,6 +982,7 @@ func (p *Pipeline) Stats() Stats {
 	s.Profiles, s.ProfileHits, s.ProfileDiskHits, s.ProfileDiskMisses, s.ProfileTime = n.profile.read()
 	s.Allocs, s.AllocHits, s.AllocDiskHits, s.AllocDiskMisses, s.AllocTime = n.alloc.read()
 	s.AnalyzeUpgrades, s.StoreErrors = n.upgrades.Value(), n.storeErrors.Value()
+	s.SimsDerived, s.SimDeriveFallbacks = n.derived.Value(), n.fallbacks.Value()
 	s.FullLinks = s.Links
 	p.mu.Lock()
 	ctxs := slices.Clone(p.ctxList)

@@ -5,11 +5,15 @@ import (
 	"sync"
 	"testing"
 
+	"repro/internal/arm"
+	"repro/internal/asm"
 	"repro/internal/cache"
 	"repro/internal/cc"
 	"repro/internal/link"
+	"repro/internal/obj"
 	"repro/internal/obs"
 	"repro/internal/pipeline"
+	"repro/internal/sim"
 	"repro/internal/wcet"
 )
 
@@ -267,5 +271,150 @@ func TestMemoizedResultsDropMemory(t *testing.T) {
 		if prof.Result.Mem != nil || prof.Result.Instrs == 0 {
 			t.Errorf("profile pass %d: has Mem=%v instrs=%d, want nil Mem and counters", pass, prof.Result.Mem != nil, prof.Result.Instrs)
 		}
+	}
+}
+
+// layoutDependent builds a program whose control flow depends on where the
+// data object g is placed: main loops once per MiB of g's address, so it
+// loops twice with g in main memory and not at all with g at the bottom
+// of the scratchpad.
+func layoutDependent(t *testing.T) *obj.Program {
+	t.Helper()
+	b := asm.NewBuilder("main")
+	loop, done := b.Label(), b.Label()
+	b.LoadAddr(1, "g", 0)
+	b.Op(arm.Instr{Op: arm.OpLdrImm, Rd: 0, Rs: 1, Imm: 0})
+	b.Op(arm.Instr{Op: arm.OpLsrImm, Rd: 2, Rs: 1, Imm: 20})
+	b.Bind(loop)
+	b.Op(arm.Instr{Op: arm.OpCmpImm, Rd: 2, Imm: 0})
+	b.Branch(arm.CondEQ, done)
+	b.Op(arm.Instr{Op: arm.OpSubImm8, Rd: 2, Imm: 1})
+	b.Op(arm.Instr{Op: arm.OpAddImm8, Rd: 0, Imm: 1})
+	b.Jump(loop)
+	b.Bind(done)
+	b.Op(arm.Instr{Op: arm.OpBx, Rs: arm.LR})
+	mainObj, err := b.Assemble()
+	if err != nil {
+		t.Fatal(err)
+	}
+	crt, err := asm.Crt0("main")
+	if err != nil {
+		t.Fatal(err)
+	}
+	word := func(name string) *obj.Object {
+		return &obj.Object{Name: name, Kind: obj.Data, Align: 4, ElemWidth: 4, Data: []byte{5, 0, 0, 0}}
+	}
+	return &obj.Program{Objects: []*obj.Object{crt, mainObj, word("g"), word("h")}, Entry: "__start", Main: "main"}
+}
+
+// TestDeriveGuardFallsBack: the first derived placement of a program whose
+// behaviour depends on its layout mismatches its real run. That request
+// and every later one must return the real simulation's result, with one
+// fallback counted and nothing derived.
+func TestDeriveGuardFallsBack(t *testing.T) {
+	const bench = "layout-dependent"
+	prog := layoutDependent(t)
+	p := pipeline.NewNamed(prog, bench)
+	derived0 := obs.Default.CounterTotal("wcetlab_sim_derived_total", "bench", bench)
+	fallbacks0 := obs.Default.CounterTotal("wcetlab_sim_derive_fallbacks_total", "bench", bench)
+	for _, in := range []map[string]bool{{"g": true}, {"h": true}, {"main": true}, nil} {
+		got, err := p.Simulate(context.Background(), 64, in, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		exe, err := link.Link(prog, 64, in)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := sim.Run(exe, sim.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got.Cycles != want.Cycles || got.Instrs != want.Instrs || got.ExitCode != want.ExitCode {
+			t.Errorf("%v: served %+v, simulated %+v", in, got, want)
+		}
+	}
+	s := p.Stats()
+	if s.Sims != 4 || s.SimsDerived != 0 || s.SimDeriveFallbacks != 1 {
+		t.Errorf("sims=%d derived=%d fallbacks=%d, want 4/0/1", s.Sims, s.SimsDerived, s.SimDeriveFallbacks)
+	}
+	if d := obs.Default.CounterTotal("wcetlab_sim_derived_total", "bench", bench) - derived0; d != 0 {
+		t.Errorf("wcetlab_sim_derived_total moved by %d, want 0", d)
+	}
+	if d := obs.Default.CounterTotal("wcetlab_sim_derive_fallbacks_total", "bench", bench) - fallbacks0; d != 1 {
+		t.Errorf("wcetlab_sim_derive_fallbacks_total moved by %d, want 1", d)
+	}
+}
+
+// TestDeriveCheckSingleflight: concurrent requests for distinct scratchpad
+// placements wait for the one exactness check, then are all derived.
+func TestDeriveCheckSingleflight(t *testing.T) {
+	p := compile(t)
+	placements := []map[string]bool{
+		{"a": true}, {"suma": true}, {"main": true}, {"a": true, "suma": true},
+		{"a": true, "main": true}, {"suma": true, "main": true}, {"a": true, "suma": true, "main": true},
+	}
+	var wg sync.WaitGroup
+	errs := make([]error, len(placements))
+	for i, in := range placements {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			_, errs[i] = p.Simulate(context.Background(), 1024, in, nil)
+		}()
+	}
+	wg.Wait()
+	for i, err := range errs {
+		if err != nil {
+			t.Fatalf("%v: %v", placements[i], err)
+		}
+	}
+	s := p.Stats()
+	if s.Sims != 1 || s.SimsDerived != uint64(len(placements)-1) || s.SimDeriveFallbacks != 0 {
+		t.Errorf("sims=%d derived=%d fallbacks=%d, want 1/%d/0", s.Sims, s.SimsDerived, s.SimDeriveFallbacks, len(placements)-1)
+	}
+	if s.SimTime <= 0 {
+		t.Error("the check run's wall clock is not accounted")
+	}
+}
+
+// TestDerivedSimulationObservability: a derived result is counted apart
+// from real runs, adds no simulation wall clock, and marks its span
+// tier=derived. The empty placement is the profile's own run and needs no
+// exactness check.
+func TestDerivedSimulationObservability(t *testing.T) {
+	p := compile(t)
+	obs.DefaultTracer.Enable()
+	defer obs.DefaultTracer.Disable()
+	res, err := p.Simulate(context.Background(), 512, nil, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	prof, err := p.Profile(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if *res != *prof.Result {
+		t.Errorf("empty placement served %+v, the profile ran %+v", res, prof.Result)
+	}
+	s := p.Stats()
+	if s.Sims != 0 || s.SimsDerived != 1 || s.SimTime != 0 {
+		t.Errorf("sims=%d derived=%d sim time=%v, want 0/1/0", s.Sims, s.SimsDerived, s.SimTime)
+	}
+	var tiers []any // the last tier each stage:simulate span set
+	for _, d := range obs.DefaultTracer.Spans() {
+		if d.Name != "stage:simulate" {
+			continue
+		}
+		var tier any
+		for _, a := range d.Attrs {
+			if a.Key == "tier" {
+				tier = a.Value
+			}
+		}
+		tiers = append(tiers, tier)
+	}
+	if len(tiers) != 1 || tiers[0] != "derived" {
+		t.Errorf("stage:simulate span tiers %v, want [derived]", tiers)
 	}
 }

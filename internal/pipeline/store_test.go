@@ -162,6 +162,31 @@ func TestSetStoreFlushesProfile(t *testing.T) {
 	}
 }
 
+// TestStaleProfileKeyMisses: profiles stored under the earlier stage key
+// "profile" predate the per-width counts that price derived simulations,
+// so a store holding one must answer the profile stage with a disk miss
+// and the pipeline must profile afresh.
+func TestStaleProfileKeyMisses(t *testing.T) {
+	st := openStore(t)
+	p := compile(t)
+	prof, err := p.Profile(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := st.SaveProfile(store.ProgramKey(p.Prog), "profile", prof); err != nil {
+		t.Fatal(err)
+	}
+
+	p2 := pipeline.New(p.Prog)
+	p2.SetStore(st)
+	if _, err := p2.Profile(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	if s := p2.Stats(); s.ProfileDiskHits != 0 || s.ProfileDiskMisses != 1 || s.Profiles != 1 {
+		t.Errorf("disk hits=%d misses=%d profiles=%d, want 0/1/1", s.ProfileDiskHits, s.ProfileDiskMisses, s.Profiles)
+	}
+}
+
 // countingAllocator is a test policy tracking how often it solves.
 type countingAllocator struct {
 	key   string

@@ -799,6 +799,8 @@ type stageStatsDTO struct {
 	LinkHits        uint64  `json:"link_hits"`
 	Sims            uint64  `json:"sims"`
 	SimHits         uint64  `json:"sim_hits"`
+	SimsDerived     uint64  `json:"sims_derived"`
+	SimFallbacks    uint64  `json:"sim_derive_fallbacks"`
 	Analyses        uint64  `json:"analyses"`
 	AnalyzeHits     uint64  `json:"analyze_hits"`
 	AnalyzeUpgrades uint64  `json:"analyze_upgrades"`
@@ -865,6 +867,8 @@ func toStatsDTO(st pipeline.Stats) stageStatsDTO {
 		LinkHits:        st.LinkHits,
 		Sims:            st.Sims,
 		SimHits:         st.SimHits,
+		SimsDerived:     st.SimsDerived,
+		SimFallbacks:    st.SimDeriveFallbacks,
 		Analyses:        st.Analyses,
 		AnalyzeHits:     st.AnalyzeHits,
 		AnalyzeUpgrades: st.AnalyzeUpgrades,

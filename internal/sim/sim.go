@@ -1,6 +1,15 @@
 // Package sim runs linked executables on the ARM7 THUMB model, producing
 // average-case cycle counts (the paper's ARMulator role) and per-object
 // access profiles that drive the scratchpad allocator.
+//
+// A profile also prices scratchpad placements without running them. Every
+// access to a scratchpad-resident object costs mem.SPMCycles, so a
+// cache-less run of a placement takes the profiled (scratchpad-less) run's
+// cycles minus mem.SPMSaving for each access the resident objects serve,
+// by width. Derive computes that result. It is exact as long as the
+// program's control flow and data do not depend on where its objects are
+// placed; the caller checks this against a real run (internal/pipeline
+// does, once per program).
 package sim
 
 import (
@@ -80,6 +89,20 @@ type ObjectProfile struct {
 	// the object's element width.
 	Reads  uint64
 	Writes uint64
+	// ByWidth counts every access above by its width: ByWidth[i] holds the
+	// accesses of 1<<i bytes. Fetches are halfword accesses and literal-pool
+	// reads word accesses.
+	ByWidth [3]uint64
+}
+
+// SPMSaving returns the cycles this run would have saved had the object
+// been in the scratchpad: mem.SPMSaving over its accesses by width.
+func (p *ObjectProfile) SPMSaving() uint64 {
+	var total uint64
+	for i, n := range p.ByWidth {
+		total += mem.SPMSaving(1<<i, n)
+	}
+	return total
 }
 
 // Total returns the total access count.
@@ -134,6 +157,7 @@ func CollectProfile(exe *link.Executable, opts Options) (*Profile, error) {
 			return
 		}
 		op := prof.ByObject[pl.Obj.Name]
+		op.ByWidth[a.Size>>1]++ // 1, 2, 4 bytes → 0, 1, 2
 		switch {
 		case a.Fetch:
 			op.Fetches++
@@ -151,4 +175,20 @@ func CollectProfile(exe *link.Executable, opts Options) (*Profile, error) {
 	}
 	prof.Result = res
 	return prof, nil
+}
+
+// Derive returns the cache-less run of exe priced from prof, the profile
+// of the same program linked without a scratchpad: the profile's cycles
+// minus the scratchpad saving of every object exe places in the
+// scratchpad, and the profile's instruction count and exit code. The
+// result has no cache hits or misses and a nil Mem. It equals Run's result
+// while the program's behaviour does not depend on its layout.
+func Derive(prof *Profile, exe *link.Executable) *Result {
+	cycles := prof.Result.Cycles
+	for _, pl := range exe.Placements {
+		if op := prof.ByObject[pl.Obj.Name]; pl.InSPM && op != nil {
+			cycles -= op.SPMSaving()
+		}
+	}
+	return &Result{Cycles: cycles, Instrs: prof.Result.Instrs, ExitCode: prof.Result.ExitCode}
 }

@@ -609,3 +609,45 @@ func TestGCPolicy(t *testing.T) {
 		t.Fatalf("no-op GC removed %d (err %v)", removed, err)
 	}
 }
+
+// TestProfileWidthCountsRoundTrip: a profile's per-width access counts
+// survive the store, so a profile served from disk prices a scratchpad
+// placement exactly as the run that collected it.
+func TestProfileWidthCountsRoundTrip(t *testing.T) {
+	prog, _, prof, _, _ := artifacts(t)
+	s := open(t)
+	pk := store.ProgramKey(prog)
+	if err := s.SaveProfile(pk, "profile", prof); err != nil {
+		t.Fatal(err)
+	}
+	got, ok := s.LoadProfile(pk, "profile")
+	if !ok {
+		t.Fatal("profile: miss after save")
+	}
+	for name, op := range prof.ByObject {
+		var n uint64
+		for _, c := range op.ByWidth {
+			n += c
+		}
+		if n != op.Total() {
+			t.Errorf("%s: width counts sum to %d, want %d accesses", name, n, op.Total())
+		}
+		if got.ByObject[name].ByWidth != op.ByWidth {
+			t.Errorf("%s: width counts %v after the store, want %v", name, got.ByObject[name].ByWidth, op.ByWidth)
+		}
+	}
+	if prof.ByObject["a"].ByWidth[2] == 0 || prof.ByObject["suma"].ByWidth[1] == 0 {
+		t.Fatalf("profile has no word reads of a or halfword fetches of suma: %+v", prof.ByObject)
+	}
+	exe, err := link.Link(prog, 1024, map[string]bool{"a": true, "suma": true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := sim.Run(exe, sim.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if d := sim.Derive(got, exe); d.Cycles != want.Cycles || d.Instrs != want.Instrs || d.ExitCode != want.ExitCode {
+		t.Errorf("derived from the stored profile: %+v, simulated %+v", d, want)
+	}
+}

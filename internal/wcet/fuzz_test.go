@@ -140,3 +140,48 @@ func TestFuzzSoundnessAcrossConfigs(t *testing.T) {
 		}
 	}
 }
+
+// TestFuzzDeriveExact: for random programs and random scratchpad resident
+// sets, pricing the placement from the scratchpad-less profile
+// (sim.Derive) must give exactly the cycles, instructions and exit code of
+// simulating it.
+func TestFuzzDeriveExact(t *testing.T) {
+	rng := rand.New(rand.NewSource(20050308))
+	const trials, placements = 12, 6
+	for trial := 0; trial < trials; trial++ {
+		src := genLoopProgram(rng)
+		prog, err := cc.Compile(src)
+		if err != nil {
+			t.Fatalf("trial %d: compile: %v\n%s", trial, err, src)
+		}
+		base, err := link.Link(prog, 0, nil)
+		if err != nil {
+			t.Fatalf("trial %d: base link: %v", trial, err)
+		}
+		prof, err := sim.CollectProfile(base, sim.Options{MaxInstrs: 20_000_000})
+		if err != nil {
+			t.Fatalf("trial %d: profile: %v\n%s", trial, err, src)
+		}
+		for k := 0; k < placements; k++ {
+			inSPM := map[string]bool{}
+			for _, o := range prog.Objects {
+				if rng.Intn(2) == 0 {
+					inSPM[o.Name] = true
+				}
+			}
+			exe, err := link.Link(prog, link.SPMMax, inSPM)
+			if err != nil {
+				t.Fatalf("trial %d: link %v: %v", trial, inSPM, err)
+			}
+			want, err := sim.Run(exe, sim.Options{MaxInstrs: 20_000_000})
+			if err != nil {
+				t.Fatalf("trial %d: run %v: %v\n%s", trial, inSPM, err, src)
+			}
+			got := sim.Derive(prof, exe)
+			if got.Cycles != want.Cycles || got.Instrs != want.Instrs || got.ExitCode != want.ExitCode {
+				t.Fatalf("trial %d %v: derived cycles/instrs/exit %d/%d/%d, simulated %d/%d/%d\n%s",
+					trial, inSPM, got.Cycles, got.Instrs, got.ExitCode, want.Cycles, want.Instrs, want.ExitCode, src)
+			}
+		}
+	}
+}

@@ -59,14 +59,15 @@ func (a *AccessCounts) add(width uint8, n uint64) {
 
 // SPMCycleBenefit returns the worst-case cycles saved per program run by
 // serving all of these accesses from the scratchpad instead of main memory.
-// It mirrors costModel exactly: each fetch drops from the halfword cost to
-// the single scratchpad cycle, each data access from its width cost.
+// It mirrors costModel: each fetch is a halfword access and each data
+// access has its width, and mem.SPMSaving prices both, as it prices the
+// simulator's derived results.
 func (a *AccessCounts) SPMCycleBenefit() int64 {
-	total := int64(a.Fetches) * int64(mem.MainHalfCycles-mem.SPMCycles)
+	total := mem.SPMSaving(2, a.Fetches)
 	for width, n := range a.Data {
-		total += int64(n) * int64(mem.MainCost(width)-mem.SPMCycles)
+		total += mem.SPMSaving(width, n)
 	}
-	return total
+	return int64(total)
 }
 
 // ObjectRank is one entry of TopObjects: a memory object with its
