@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: check ci fmt vet build test test-race bench bench-json bench-smoke bench-diff bench-gate wcetlab warmstore smoke
+.PHONY: check ci fmt vet build test test-race fuzz bench bench-json bench-smoke bench-diff bench-gate wcetlab warmstore smoke
 
 # Tier-1 verification plus formatting/lint gates, and the wcetbench
 # module's vet and tests (the root build never compiles that module, yet it
@@ -8,10 +8,10 @@ GO ?= go
 check: fmt vet build test bench-gate
 
 # What .github/workflows/ci.yml runs: check with the race detector on,
-# plus the wcetbench gate's own tests, the single-iteration benchmark
-# smoke (validated JSON), the warm-store determinism check and the serve
-# smoke test.
-ci: fmt vet build test-race bench-gate bench-smoke warmstore smoke
+# plus the wcetbench gate's own tests, a short run of each native fuzz
+# target, the single-iteration benchmark smoke (validated JSON), the
+# warm-store determinism check and the serve smoke test.
+ci: fmt vet build test-race bench-gate fuzz bench-smoke warmstore smoke
 
 # wcetbench is a module of its own, so the root vet and test never reach
 # it: vet it and run its result gate's tests from inside.
@@ -48,6 +48,14 @@ test:
 
 test-race:
 	$(GO) test -race ./...
+
+# Native fuzz targets, ~10 s each beyond their checked-in seed corpora
+# (testdata/fuzz): the all-capacity cache ladder against the reference
+# cache model, and the artifact store's entry parser and decoders against
+# arbitrary bytes. A failing input is written under testdata/fuzz.
+fuzz:
+	$(GO) test -run '^$$' -fuzz '^FuzzLadder$$' -fuzztime 10s ./internal/cache
+	$(GO) test -run '^$$' -fuzz '^FuzzDecode$$' -fuzztime 10s ./internal/store
 
 bench:
 	$(GO) test -bench=. -benchmem ./...

@@ -612,11 +612,11 @@ func printIncrementalStats(labs []*core.Lab) {
 	}
 	stateHits := val("wcetlab_solver_state_hits_total")
 	stateMisses := val("wcetlab_solver_state_misses_total")
-	cacheRerun := val("wcetlab_cache_context_funcs_reanalyzed_total")
-	cacheFuncs := val("wcetlab_cache_context_funcs_total")
+	mustSolves := val("wcetlab_cache_context_must_solves_total")
+	mustHits := val("wcetlab_cache_context_must_memo_hits_total")
 	fmt.Printf("\nblocks re-priced:  %d of %d (%.1f%%)\n", repriced, blocks, pct(repriced, blocks))
 	fmt.Printf("functions solved:  %d of %d (%.1f%%)\n", solved, funcs, pct(solved, funcs))
-	fmt.Printf("cache funcs rerun: %d of %d (%.1f%%)\n", cacheRerun, cacheFuncs, pct(cacheRerun, cacheFuncs))
+	fmt.Printf("MUST solves:       %d run, %d memo hits\n", mustSolves, mustHits)
 	fmt.Printf("simplex pivots:    %d warm, %d cold\n", warmPivots, coldPivots)
 	fmt.Printf("solver state:      %d hits, %d misses\n", stateHits, stateMisses)
 }

@@ -34,6 +34,8 @@ func mirrors(bench string, s pipeline.Stats) []mirror {
 		{"wcetlab_solver_state_misses_total", nil, s.SolverStateMisses},
 		{"wcetlab_cache_context_funcs_reanalyzed_total", nil, s.CacheFuncsReanalyzed},
 		{"wcetlab_cache_context_funcs_total", nil, s.CacheFuncs},
+		{"wcetlab_cache_context_must_solves_total", nil, s.MustSolves},
+		{"wcetlab_cache_context_must_memo_hits_total", nil, s.MustMemoHits},
 	}
 	for _, st := range []struct {
 		stage                               string

@@ -30,16 +30,22 @@
 // tiers: *Hits are memory hits, *DiskHits/*DiskMisses count store lookups,
 // and runs (Links, Sims, Analyses, Profiles, Allocs) are cold executions.
 //
-// A simulation that misses both tiers is computed one of two ways. A
+// A simulation that misses both tiers is computed one of three ways. A
 // cache-less placement at whole-object granularity is derived from the
 // profile (sim.Derive): the profiled run's cycles minus the scratchpad
-// saving of each resident object, counted in Stats.SimsDerived. Every
-// other simulation (a cache, or a split partition) runs the simulator.
+// saving of each resident object, counted in Stats.SimsDerived.
 // Derivation is exact only while the program's behaviour does not depend
 // on its layout, so the first non-empty placement a pipeline derives is
 // also simulated for real (concurrent requests wait for it). On a mismatch
 // the pipeline counts one Stats.SimDeriveFallbacks and serves real runs
-// from then on. Derived results are memoized and persisted like real ones.
+// from then on. A valid direct-mapped cache configuration is read off the
+// placement's cache ladder for its line size and kind (sim.RunLadder): one
+// cache-less run that prices every capacity, exact by construction since
+// the executable is the same at every size. The request that finds no
+// ladder runs it; every other size counts in Stats.SimsDerived. Every
+// other simulation (a set-associative cache, or a cache-less split
+// partition) runs the simulator. Derived results are memoized and
+// persisted like real ones.
 //
 // # Keying scheme
 //
@@ -159,10 +165,12 @@ type Stats struct {
 	Profiles, ProfileHits uint64
 	Allocs, AllocHits     uint64
 
-	// SimsDerived counts simulations priced from the profile instead of
-	// run (Sims counts real runs only, the exactness check among them);
-	// SimDeriveFallbacks counts checks that mismatched, after which the
-	// pipeline derives nothing more.
+	// SimsDerived counts simulations not run: cache-less placements priced
+	// from the profile, and direct-mapped cache sizes read off a ladder
+	// another size of the same placement, line size and kind ran (Sims
+	// counts real runs only: the exactness check and each ladder run among
+	// them). SimDeriveFallbacks counts checks that mismatched, after which
+	// the pipeline derives no cache-less placement more.
 	SimsDerived, SimDeriveFallbacks uint64
 
 	// ContextBuilds counts reusable analysis contexts without a cache
@@ -174,10 +182,13 @@ type Stats struct {
 
 	// CacheContextBuilds / CacheContextReuses are the same split for
 	// contexts with a cache domain. CacheFuncsReanalyzed / CacheFuncs split
-	// their function-level MUST fixed point: solves that actually re-ran vs
-	// functions in scope across all cache-domain analyses.
+	// their function-level MUST fixed point: distinct functions whose solve
+	// re-ran vs functions in scope across all cache-domain analyses.
+	// MustSolves / MustMemoHits split its steps: intra-procedural solves
+	// run vs served from the per-function memo.
 	CacheContextBuilds, CacheContextReuses uint64
 	CacheFuncsReanalyzed, CacheFuncs       uint64
+	MustSolves, MustMemoHits               uint64
 
 	// FullLinks, DeltaLinks, RelocsResolved and RelocsReused are frozen:
 	// they remain only because the wcetbench harness (a separate module
@@ -234,6 +245,8 @@ func (s *Stats) Add(o Stats) {
 	s.CacheContextReuses += o.CacheContextReuses
 	s.CacheFuncsReanalyzed += o.CacheFuncsReanalyzed
 	s.CacheFuncs += o.CacheFuncs
+	s.MustSolves += o.MustSolves
+	s.MustMemoHits += o.MustMemoHits
 	s.FullLinks += o.FullLinks
 	s.SolverStateHits += o.SolverStateHits
 	s.SolverStateMisses += o.SolverStateMisses
@@ -265,6 +278,7 @@ type Pipeline struct {
 	splits   map[string]*entry[*obj.Program]
 	links    map[string]*entry[*link.Executable]
 	sims     map[string]*entry[*sim.Result]
+	ladders  map[string]*entry[*sim.CacheLadder] // by placement, line size and kind
 	analyses map[string]*analysisEntry
 	contexts map[string]*entry[*wcet.Context]
 	allocs   map[string]*entry[*Allocation]
@@ -413,6 +427,7 @@ func NewNamed(prog *obj.Program, bench string) *Pipeline {
 		splits:   make(map[string]*entry[*obj.Program]),
 		links:    make(map[string]*entry[*link.Executable]),
 		sims:     make(map[string]*entry[*sim.Result]),
+		ladders:  make(map[string]*entry[*sim.CacheLadder]),
 		analyses: make(map[string]*analysisEntry),
 		contexts: make(map[string]*entry[*wcet.Context]),
 		allocs:   make(map[string]*entry[*Allocation]),
@@ -516,11 +531,15 @@ func cacheKey(c *cache.Config) string {
 	if c == nil {
 		return "nocache"
 	}
-	kind := "unified"
+	return fmt.Sprintf("cache=%d/%d/%d/%s", c.Size, c.LineSize, c.Assoc, cacheKind(c))
+}
+
+// cacheKind names a cache's kind in stage keys.
+func cacheKind(c *cache.Config) string {
 	if c.InstructionOnly {
-		kind = "icache"
+		return "icache"
 	}
-	return fmt.Sprintf("cache=%d/%d/%d/%s", c.Size, c.LineSize, c.Assoc, kind)
+	return "unified"
 }
 
 func analysisKey(placement string, opts wcet.Options) string {
@@ -601,9 +620,12 @@ func (p *Pipeline) SimulateUnits(ctx context.Context, regions []obj.Region, spmS
 			return nil, err
 		}
 		var res *sim.Result
-		if ccfg == nil && len(regions) == 0 {
+		switch {
+		case ccfg == nil && len(regions) == 0:
 			res, err = p.simulateDerived(sctx, sp, exe, key)
-		} else {
+		case ccfg != nil && ccfg.Validate() == nil && ccfg.WithDefaults().Assoc == 1:
+			res, err = p.simulateLadder(ctx, sp, exe, unitPrefix(regions)+PlacementKey(spmSize, inSPM), ccfg.WithDefaults())
+		default:
 			res, err = p.run(ctx, sp, exe, ccfg, key)
 		}
 		if err == nil {
@@ -629,6 +651,37 @@ func (p *Pipeline) run(ctx context.Context, sp *obs.Span, exe *link.Executable, 
 	}
 	res.Mem = nil
 	return res, nil
+}
+
+// simulateLadder serves a valid direct-mapped configuration from the
+// placement's ladder for the configuration's line size and kind: the
+// request that finds no ladder runs one (a real run), and every later size
+// is read off it (a derived result).
+func (p *Pipeline) simulateLadder(ctx context.Context, sp *obs.Span, exe *link.Executable, placement string, ccfg cache.Config) (*sim.Result, error) {
+	key := fmt.Sprintf("%s|ladder=%d/%s", placement, ccfg.LineSize, cacheKind(&ccfg))
+	p.mu.Lock()
+	e, ok := p.ladders[key]
+	if !ok {
+		e = &entry[*sim.CacheLadder]{}
+		p.ladders[key] = e
+	}
+	p.mu.Unlock()
+	ran := false
+	l, err := e.get(func() (*sim.CacheLadder, error) {
+		ran = true
+		p.counts.sim.runs.Inc()
+		sp.SetAttr("tier", "compute")
+		defer p.timed(ctx, p.counts.sim, key, time.Now())
+		return sim.RunLadder(exe, ccfg.LineSize, ccfg.InstructionOnly)
+	})
+	if err != nil {
+		return nil, err
+	}
+	if !ran {
+		p.counts.derived.Inc()
+		sp.SetAttr("tier", "derived")
+	}
+	return l.At(ccfg.Size)
 }
 
 // simulateDerived serves a cache-less whole-object placement from the
@@ -803,11 +856,7 @@ func contextKey(regions []obj.Region, opts wcet.Options) string {
 	shape := "none"
 	if opts.Cache != nil {
 		cc := opts.Cache.WithDefaults()
-		kind := "unified"
-		if cc.InstructionOnly {
-			kind = "icache"
-		}
-		shape = fmt.Sprintf("%d/%d/%s", cc.LineSize, cc.Assoc, kind)
+		shape = fmt.Sprintf("%d/%d/%s", cc.LineSize, cc.Assoc, cacheKind(&cc))
 	}
 	return fmt.Sprintf("%scacheshape=%s|stack=%d|root=%s", unitPrefix(regions), shape, opts.StackBound, opts.Root)
 }
@@ -994,6 +1043,8 @@ func (p *Pipeline) Stats() Stats {
 			builds, reuses = &s.CacheContextBuilds, &s.CacheContextReuses
 			s.CacheFuncsReanalyzed += cs.FuncsReanalyzed
 			s.CacheFuncs += cs.FuncsTotal
+			s.MustSolves += cs.MustSolves
+			s.MustMemoHits += cs.MustMemoHits
 		}
 		*builds++
 		*reuses += max(cs.Analyses, 1) - 1

@@ -93,10 +93,21 @@ func TestMemoization(t *testing.T) {
 	}
 
 	// A different cache configuration is a different simulation artifact.
-	if _, err := p.Simulate(context.Background(), 256, in, &cache.Config{Size: 256, Assoc: 1}); err == nil {
-		if got := p.Stats().Sims; got != 2 {
-			t.Errorf("cache-config simulation not keyed separately: %d runs", got)
-		}
+	if _, err := p.Simulate(context.Background(), 256, in, &cache.Config{Size: 256, Assoc: 1}); err != nil {
+		t.Fatal(err)
+	}
+	if got := p.Stats().Sims; got != 2 {
+		t.Errorf("cache-config simulation not keyed separately: %d runs", got)
+	}
+	// A second direct-mapped size of the same placement is read off the
+	// first one's ladder: no further run, one more derived result.
+	before := p.Stats()
+	if _, err := p.Simulate(context.Background(), 256, in, &cache.Config{Size: 1024, Assoc: 1}); err != nil {
+		t.Fatal(err)
+	}
+	if s := p.Stats(); s.Sims != before.Sims || s.SimsDerived != before.SimsDerived+1 {
+		t.Errorf("second direct-mapped size: sims %d -> %d, derived %d -> %d, want unchanged and +1",
+			before.Sims, s.Sims, before.SimsDerived, s.SimsDerived)
 	}
 }
 
@@ -416,5 +427,84 @@ func TestDerivedSimulationObservability(t *testing.T) {
 	}
 	if len(tiers) != 1 || tiers[0] != "derived" {
 		t.Errorf("stage:simulate span tiers %v, want [derived]", tiers)
+	}
+}
+
+// TestCacheLadderSingleflight: concurrent requests for every paper size of
+// one direct-mapped cache shape make one real run, the ladder, and read
+// every other size off it, each equal to a real run with that cache. The
+// ladder run's span is tier=compute and every other size's tier=derived.
+func TestCacheLadderSingleflight(t *testing.T) {
+	p := compile(t)
+	exe, err := p.Link(context.Background(), 0, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	obs.DefaultTracer.Enable()
+	defer obs.DefaultTracer.Disable()
+	sizes := []uint32{64, 128, 256, 512, 1024, 2048, 4096, 8192}
+	var wg sync.WaitGroup
+	got := make([]*sim.Result, len(sizes))
+	errs := make([]error, len(sizes))
+	for i, size := range sizes {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			got[i], errs[i] = p.Simulate(context.Background(), 0, nil, &cache.Config{Size: size, Assoc: 1})
+		}()
+	}
+	wg.Wait()
+	for i, size := range sizes {
+		if errs[i] != nil {
+			t.Fatalf("size %d: %v", size, errs[i])
+		}
+		want, err := sim.Run(exe, sim.Options{Cache: &cache.Config{Size: size, Assoc: 1}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		want.Mem = nil
+		if *got[i] != *want {
+			t.Errorf("size %d: served %+v, simulated %+v", size, got[i], want)
+		}
+	}
+	s := p.Stats()
+	if s.Sims != 1 || s.SimsDerived != uint64(len(sizes)-1) {
+		t.Errorf("sims=%d derived=%d, want 1/%d", s.Sims, s.SimsDerived, len(sizes)-1)
+	}
+	tiers := map[any]int{}
+	for _, d := range obs.DefaultTracer.Spans() {
+		if d.Name != "stage:simulate" {
+			continue
+		}
+		var tier any
+		for _, a := range d.Attrs {
+			if a.Key == "tier" {
+				tier = a.Value
+			}
+		}
+		tiers[tier]++
+	}
+	if tiers["compute"] != 1 || tiers["derived"] != len(sizes)-1 {
+		t.Errorf("stage:simulate span tiers %v, want 1 compute and %d derived", tiers, len(sizes)-1)
+	}
+}
+
+// TestCacheLadderServesDirectMappedOnly: set-associative configurations
+// still run once each, and a configuration the cache model rejects fails
+// with the model's own error, as a real run does.
+func TestCacheLadderServesDirectMappedOnly(t *testing.T) {
+	p := compile(t)
+	for _, cfg := range []cache.Config{{Size: 512, Assoc: 2}, {Size: 1024, Assoc: 2}} {
+		if _, err := p.Simulate(context.Background(), 0, nil, &cfg); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if s := p.Stats(); s.Sims != 2 || s.SimsDerived != 0 {
+		t.Errorf("two 2-way sizes: sims=%d derived=%d, want 2/0", s.Sims, s.SimsDerived)
+	}
+	bad := cache.Config{Size: 2 * cache.MaxSize, Assoc: 1}
+	_, err := p.Simulate(context.Background(), 0, nil, &bad)
+	if want := bad.Validate(); err == nil || want == nil || err.Error() != want.Error() {
+		t.Errorf("size %d: error %v, want %v", bad.Size, err, want)
 	}
 }

@@ -814,6 +814,8 @@ type stageStatsDTO struct {
 	CacheCtxReuses  uint64  `json:"cache_context_reuses"`
 	CacheFuncsRerun uint64  `json:"cache_funcs_reanalyzed"`
 	CacheFuncs      uint64  `json:"cache_funcs"`
+	MustSolves      uint64  `json:"must_solves"`
+	MustMemoHits    uint64  `json:"must_memo_hits"`
 	SolverHits      uint64  `json:"solver_state_hits"`
 	SolverMisses    uint64  `json:"solver_state_misses"`
 	DiskHits        uint64  `json:"disk_hits"`
@@ -882,6 +884,8 @@ func toStatsDTO(st pipeline.Stats) stageStatsDTO {
 		CacheCtxReuses:  st.CacheContextReuses,
 		CacheFuncsRerun: st.CacheFuncsReanalyzed,
 		CacheFuncs:      st.CacheFuncs,
+		MustSolves:      st.MustSolves,
+		MustMemoHits:    st.MustMemoHits,
 		SolverHits:      st.SolverStateHits,
 		SolverMisses:    st.SolverStateMisses,
 		DiskHits:        st.DiskHits(),

@@ -11,16 +11,26 @@ import (
 
 // BenchmarkRun measures the simulator alone: each Table 2 program runs
 // cold (a fresh memory system and CPU per iteration) with its executable
-// linked outside the timer, without a cache and behind the paper's 1 KiB
-// direct-mapped unified cache. ns/instr is the time per simulated
-// instruction.
+// linked outside the timer, without a cache, behind the paper's 1 KiB
+// direct-mapped unified cache, and feeding a unified cache ladder (every
+// direct-mapped size at once, RunLadder). ns/instr is the time per
+// simulated instruction.
 func BenchmarkRun(b *testing.B) {
-	caches := []struct {
+	runs := []struct {
 		name string
-		cfg  *cache.Config
+		run  func(*link.Executable) (*Result, error)
 	}{
-		{"nocache", nil},
-		{"cache1k", &cache.Config{Size: 1024}},
+		{"nocache", func(exe *link.Executable) (*Result, error) { return Run(exe, Options{}) }},
+		{"cache1k", func(exe *link.Executable) (*Result, error) {
+			return Run(exe, Options{Cache: &cache.Config{Size: 1024}})
+		}},
+		{"ladder", func(exe *link.Executable) (*Result, error) {
+			l, err := RunLadder(exe, cache.DefaultLineSize, false)
+			if err != nil {
+				return nil, err
+			}
+			return l.run, nil
+		}},
 	}
 	for _, bench := range benchprog.All() {
 		prog, err := cc.Compile(bench.Source)
@@ -31,11 +41,11 @@ func BenchmarkRun(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		for _, c := range caches {
-			b.Run(bench.Name+"/"+c.name, func(b *testing.B) {
+		for _, r := range runs {
+			b.Run(bench.Name+"/"+r.name, func(b *testing.B) {
 				var instrs uint64
 				for i := 0; i < b.N; i++ {
-					res, err := Run(exe, Options{Cache: c.cfg})
+					res, err := r.run(exe)
 					if err != nil {
 						b.Fatal(err)
 					}

@@ -10,6 +10,12 @@
 // program's control flow and data do not depend on where its objects are
 // placed; the caller checks this against a real run (internal/pipeline
 // does, once per program).
+//
+// One cache-less run also prices every direct-mapped cache capacity of one
+// line size and kind: RunLadder feeds the run's main-memory accesses to a
+// cache.Ladder, and CacheLadder.At swaps their main-memory cost for the
+// cache's hit and miss cost at one size. The executable is the same at
+// every size, so the result equals Run's with that cache.
 package sim
 
 import (
@@ -191,4 +197,58 @@ func Derive(prof *Profile, exe *link.Executable) *Result {
 		}
 	}
 	return &Result{Cycles: cycles, Instrs: prof.Result.Instrs, ExitCode: prof.Result.ExitCode}
+}
+
+// CacheLadder is one cache-less run of an executable together with the
+// hits and misses every direct-mapped cache of one line size and kind would
+// have had on it.
+type CacheLadder struct {
+	run    *Result
+	ladder *cache.Ladder
+	// served is the main-memory cost of the accesses the cache serves.
+	served uint64
+}
+
+// RunLadder runs exe without a cache and feeds every main-memory access a
+// direct-mapped cache of the given line size and kind would serve to a
+// cache.Ladder. Scratchpad accesses bypass the cache and are skipped.
+func RunLadder(exe *link.Executable, lineSize uint32, instructionOnly bool) (*CacheLadder, error) {
+	l, err := cache.NewLadder(lineSize, instructionOnly)
+	if err != nil {
+		return nil, err
+	}
+	c := &CacheLadder{ladder: l}
+	spmEnd := uint64(link.SPMBase) + uint64(exe.SPMSize)
+	c.run, err = Run(exe, Options{OnAccess: func(a mem.Access) {
+		if a.Addr >= link.SPMBase && uint64(a.Addr)+uint64(a.Size) <= spmEnd || !l.Serves(a.Fetch, a.Write) {
+			return
+		}
+		c.served += uint64(mem.MainCost(a.Size))
+		l.Read(a.Addr)
+	}})
+	if err != nil {
+		return nil, err
+	}
+	c.run.Mem = nil
+	l.Release()
+	return c, nil
+}
+
+// At returns the run as it would have been with the direct-mapped cache of
+// the given size in front of main memory: the cache-less cycles minus the
+// main-memory cost of every access the cache serves plus its hit and miss
+// cost, the run's instruction count and exit code, and a nil Mem. The size
+// must be a power of two between the line size and cache.MaxSize.
+func (c *CacheLadder) At(size uint32) (*Result, error) {
+	hits, misses, err := c.ladder.Counts(size)
+	if err != nil {
+		return nil, err
+	}
+	return &Result{
+		Cycles:      c.run.Cycles - c.served + hits*cache.HitCycles + misses*cache.MissCycles,
+		Instrs:      c.run.Instrs,
+		CacheHits:   hits,
+		CacheMisses: misses,
+		ExitCode:    c.run.ExitCode,
+	}, nil
 }

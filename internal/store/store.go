@@ -217,6 +217,19 @@ func parseEntry(raw []byte) (payload []byte, kind Kind, ok bool) {
 	return payload, kind, true
 }
 
+// header returns the entry header parseEntry checks for a payload of the
+// given kind.
+func header(kind Kind, payload []byte) []byte {
+	hdr := make([]byte, headerSize)
+	copy(hdr, magic)
+	binary.LittleEndian.PutUint16(hdr[4:6], version)
+	binary.LittleEndian.PutUint16(hdr[6:8], uint16(kind))
+	binary.LittleEndian.PutUint64(hdr[8:16], uint64(len(payload)))
+	sum := sha256.Sum256(payload)
+	copy(hdr[16:], sum[:])
+	return hdr
+}
+
 // write atomically installs a payload under its key: the header+payload
 // image is written to a temporary file in the store root, synced, and
 // renamed into place.
@@ -225,14 +238,7 @@ func (s *Store) write(kind Kind, progKey, stageKey string, payload []byte) error
 	if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
 		return fmt.Errorf("store: %w", err)
 	}
-	hdr := make([]byte, headerSize)
-	copy(hdr, magic)
-	binary.LittleEndian.PutUint16(hdr[4:6], version)
-	binary.LittleEndian.PutUint16(hdr[6:8], uint16(kind))
-	binary.LittleEndian.PutUint64(hdr[8:16], uint64(len(payload)))
-	sum := sha256.Sum256(payload)
-	copy(hdr[16:], sum[:])
-
+	hdr := header(kind, payload)
 	f, err := os.CreateTemp(s.dir, tmpPrefix+"*")
 	if err != nil {
 		return fmt.Errorf("store: %w", err)

@@ -46,6 +46,10 @@ var (
 		"Functions whose MUST fixed point actually re-ran across cache-context analyses.")
 	mCCtxFuncsTotal = obs.Default.Counter("wcetlab_cache_context_funcs_total",
 		"Functions in scope across cache-context analyses (re-analyzed + reused).")
+	mCCtxMustSolves = obs.Default.Counter("wcetlab_cache_context_must_solves_total",
+		"Intra-procedural MUST solves run across cache-context analyses, fixed-point re-entries included.")
+	mCCtxMustMemoHits = obs.Default.Counter("wcetlab_cache_context_must_memo_hits_total",
+		"Intra-procedural MUST solves served from a cache context's per-function memo instead of run.")
 	mSolverHits = obs.Default.Counter("wcetlab_solver_state_hits_total",
 		"Per-function IPET solves served from an analysis context's in-process solution memo.")
 	mSolverMisses = obs.Default.Counter("wcetlab_solver_state_misses_total",
@@ -74,6 +78,11 @@ type ContextStats struct {
 	FuncsReanalyzed uint64
 	// FuncsTotal: functions in scope, summed over analyses.
 	FuncsTotal uint64
+	// MustSolves / MustMemoHits: steps of the interprocedural MUST fixed
+	// point that ran a function's intra-procedural solve vs steps its
+	// per-function memo answered, summed over analyses (re-entries count
+	// each time); zero without a cache domain.
+	MustSolves, MustMemoHits uint64
 	// StateHits / StateMisses: per-function IPET solves served from the
 	// in-process solution memo vs solves that had to run.
 	StateHits, StateMisses uint64
@@ -89,6 +98,7 @@ type ctxCounters struct {
 	blocksRepriced, blocksTotal *obs.Tally
 	funcsSolved, funcsTotal     *obs.Tally
 	funcsReanalyzed             *obs.Tally
+	mustSolves, mustMemoHits    *obs.Tally
 	stateHits, stateMisses      *obs.Tally
 }
 
@@ -107,6 +117,8 @@ func newCtxCounters(cached bool) *ctxCounters {
 		funcsSolved:     obs.NewTally(solved),
 		funcsTotal:      obs.NewTally(funcs),
 		funcsReanalyzed: obs.NewTally(mCCtxFuncsReanalyzed),
+		mustSolves:      obs.NewTally(mCCtxMustSolves),
+		mustMemoHits:    obs.NewTally(mCCtxMustMemoHits),
 		stateHits:       obs.NewTally(mSolverHits),
 		stateMisses:     obs.NewTally(mSolverMisses),
 	}
@@ -761,6 +773,9 @@ func (c *Context) replayMust(cc cache.Config, lay []link.ObjLayout, spmSize uint
 			}
 			putCapped(cf.musts, key, rec)
 			reran[name] = true
+			c.n.mustSolves.Inc()
+		} else {
+			c.n.mustMemoHits.Inc()
 		}
 		pool.put(entry)
 
@@ -1151,6 +1166,8 @@ func (c *Context) Stats() ContextStats {
 		FuncsSolved:     c.n.funcsSolved.Value(),
 		FuncsReanalyzed: c.n.funcsReanalyzed.Value(),
 		FuncsTotal:      c.n.funcsTotal.Value(),
+		MustSolves:      c.n.mustSolves.Value(),
+		MustMemoHits:    c.n.mustMemoHits.Value(),
 		StateHits:       c.n.stateHits.Value(),
 		StateMisses:     c.n.stateMisses.Value(),
 	}

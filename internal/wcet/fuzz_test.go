@@ -185,3 +185,54 @@ func TestFuzzDeriveExact(t *testing.T) {
 		}
 	}
 }
+
+// TestFuzzLadderExact: for random programs and random scratchpad resident
+// sets, one ladder run (sim.RunLadder) must price every direct-mapped cache
+// size of both kinds with exactly the cycles, instructions, hits, misses
+// and exit code of simulating that cache.
+func TestFuzzLadderExact(t *testing.T) {
+	rng := rand.New(rand.NewSource(20050309))
+	const trials, placements = 12, 3
+	for trial := 0; trial < trials; trial++ {
+		src := genLoopProgram(rng)
+		prog, err := cc.Compile(src)
+		if err != nil {
+			t.Fatalf("trial %d: compile: %v\n%s", trial, err, src)
+		}
+		for k := 0; k < placements; k++ {
+			inSPM := map[string]bool{}
+			for _, o := range prog.Objects {
+				if k > 0 && rng.Intn(2) == 0 {
+					inSPM[o.Name] = true
+				}
+			}
+			exe, err := link.Link(prog, link.SPMMax, inSPM)
+			if err != nil {
+				t.Fatalf("trial %d: link %v: %v", trial, inSPM, err)
+			}
+			for _, icache := range []bool{false, true} {
+				l, err := sim.RunLadder(exe, cache.DefaultLineSize, icache)
+				if err != nil {
+					t.Fatalf("trial %d: ladder %v: %v\n%s", trial, inSPM, err, src)
+				}
+				for size := uint32(cache.DefaultLineSize); size <= cache.MaxSize; size *= 2 {
+					cfg := cache.Config{Size: size, Assoc: 1, InstructionOnly: icache}
+					want, err := sim.Run(exe, sim.Options{Cache: &cfg, MaxInstrs: 20_000_000})
+					if err != nil {
+						t.Fatalf("trial %d: run %v %+v: %v\n%s", trial, inSPM, cfg, err, src)
+					}
+					got, err := l.At(size)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if got.Cycles != want.Cycles || got.Instrs != want.Instrs || got.CacheHits != want.CacheHits ||
+						got.CacheMisses != want.CacheMisses || got.ExitCode != want.ExitCode {
+						t.Fatalf("trial %d %v %+v: ladder cycles/instrs/hits/misses/exit %d/%d/%d/%d/%d, simulated %d/%d/%d/%d/%d\n%s",
+							trial, inSPM, cfg, got.Cycles, got.Instrs, got.CacheHits, got.CacheMisses, got.ExitCode,
+							want.Cycles, want.Instrs, want.CacheHits, want.CacheMisses, want.ExitCode, src)
+					}
+				}
+			}
+		}
+	}
+}
