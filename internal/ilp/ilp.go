@@ -9,6 +9,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 
 	"repro/internal/lp"
 	"repro/internal/obs"
@@ -77,11 +78,23 @@ func Solve(p *Problem) (Solution, error) { return SolveOpts(p, Options{}) }
 // SolveOpts is Solve with warm-start options.
 func SolveOpts(p *Problem, o Options) (Solution, error) {
 	incumbent := Solution{Status: lp.Infeasible, Obj: math.Inf(-1)}
+	// A node's relaxation is the root's objective and constraint rows,
+	// which are never mutated, plus the branching rows on its path: a
+	// child shares its parent's path and adds only its own row.
+	type branchRow struct {
+		con lp.Constraint
+		up  *branchRow // the parent's branching row (nil below the root)
+	}
 	type node struct {
-		prob *lp.Problem
+		path *branchRow
 		root bool
 	}
-	stack := []node{{prob: p.LP.Clone(), root: true}}
+	stack := []node{{root: true}}
+	// One tableau buffer, one constraint list and one unit row per
+	// branching variable serve every node of this solve.
+	var ws lp.Workspace
+	relax := lp.Problem{NumVars: p.LP.NumVars, Objective: p.LP.Objective}
+	units := make([][]float64, relax.NumVars)
 	nodes := 0
 	mSolves.Inc()
 	defer func() { mNodes.Add(uint64(nodes)) }()
@@ -94,15 +107,22 @@ func SolveOpts(p *Problem, o Options) (Solution, error) {
 		stack = stack[:len(stack)-1]
 		var rel lp.Solution
 		if nd.root && o.Root != nil {
-			rel = o.Root.SolveObjective(nd.prob.Objective)
+			rel = ws.SolveObjective(o.Root, relax.Objective)
 		} else {
-			rel = lp.Solve(nd.prob)
+			relax.Cons = append(relax.Cons[:0], p.LP.Cons...)
+			for r := nd.path; r != nil; r = r.up {
+				relax.Cons = append(relax.Cons, r.con)
+			}
+			slices.Reverse(relax.Cons[len(p.LP.Cons):])
+			rel = ws.Solve(&relax)
 		}
 		switch rel.Status {
 		case lp.Infeasible:
 			continue
-		case lp.Unbounded:
-			return Solution{}, fmt.Errorf("ilp: relaxation unbounded")
+		case lp.Unbounded, lp.IterationLimit:
+			// A solver failure, never a pruned node: a relaxation that ran
+			// out of pivots says nothing about the node's feasibility.
+			return Solution{}, fmt.Errorf("ilp: relaxation %v", rel.Status)
 		}
 		if rel.Obj <= incumbent.Obj+intTol && incumbent.Status == lp.Optimal {
 			continue // bound: cannot beat the incumbent
@@ -113,7 +133,7 @@ func SolveOpts(p *Problem, o Options) (Solution, error) {
 		// Find the most fractional integral variable.
 		branch := -1
 		worst := intTol
-		for i := 0; i < nd.prob.NumVars; i++ {
+		for i := 0; i < relax.NumVars; i++ {
 			if !p.integral(i) {
 				continue
 			}
@@ -140,20 +160,17 @@ func SolveOpts(p *Problem, o Options) (Solution, error) {
 		}
 		v := rel.X[branch]
 		lo, hi := math.Floor(v), math.Ceil(v)
-		le := nd.prob.Clone()
-		le.AddConstraint(unit(nd.prob.NumVars, branch), lp.LE, lo)
-		ge := nd.prob.Clone()
-		ge.AddConstraint(unit(nd.prob.NumVars, branch), lp.GE, hi)
-		stack = append(stack, node{prob: le}, node{prob: ge})
+		if units[branch] == nil {
+			units[branch] = make([]float64, relax.NumVars)
+			units[branch][branch] = 1
+		}
+		u := units[branch]
+		stack = append(stack,
+			node{path: &branchRow{con: lp.Constraint{Coef: u, Rel: lp.LE, RHS: lo}, up: nd.path}},
+			node{path: &branchRow{con: lp.Constraint{Coef: u, Rel: lp.GE, RHS: hi}, up: nd.path}})
 	}
 	if incumbent.Status != lp.Optimal {
 		return incumbent, ErrInfeasible
 	}
 	return incumbent, nil
-}
-
-func unit(n, i int) []float64 {
-	c := make([]float64, n)
-	c[i] = 1
-	return c
 }

@@ -1,8 +1,10 @@
 package ilp
 
 import (
+	"errors"
 	"math"
 	"math/rand"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -116,5 +118,33 @@ func TestPropertyAgainstExhaustiveKnapsack(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 120, Rand: rng}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestIterationLimitIsAnError: a relaxation that runs out of simplex pivots
+// fails the solve instead of being pruned as infeasible. The program is the
+// 22-dimensional Klee–Minty cube (Bland's rule visits ~57000 vertices)
+// with its objective turned into an ε-constraint row, so phase 1 follows
+// the exponential path and hits the cap. x = (0, …, 0, 5^22) satisfies every
+// row, so "infeasible" would be wrong.
+func TestIterationLimitIsAnError(t *testing.T) {
+	const n = 22
+	p := &Problem{LP: lp.Problem{NumVars: n}}
+	eps := make([]float64, n)
+	for j := range eps {
+		eps[j] = math.Pow(2, float64(n-1-j))
+	}
+	for i := 0; i < n; i++ {
+		c := make([]float64, n)
+		for j := 0; j < i; j++ {
+			c[j] = math.Pow(2, float64(i-j+1))
+		}
+		c[i] = 1
+		p.LP.AddConstraint(c, lp.LE, math.Pow(5, float64(i+1)))
+	}
+	p.LP.AddConstraint(eps, lp.GE, math.Pow(5, n))
+	_, err := Solve(p)
+	if err == nil || errors.Is(err, ErrInfeasible) || !strings.Contains(err.Error(), lp.IterationLimit.String()) {
+		t.Fatalf("err = %v, want an iteration-limit failure", err)
 	}
 }

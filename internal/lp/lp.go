@@ -1,4 +1,4 @@
-// Package lp implements a dense two-phase primal simplex solver for linear
+// Package lp implements a two-phase primal simplex solver for linear
 // programs in the form
 //
 //	maximise  c·x   subject to  A·x {<=,=,>=} b,  x >= 0.
@@ -6,13 +6,25 @@
 // It is the optimisation substrate for the scratchpad knapsack allocation
 // (the paper solves it with a commercial ILP solver) and for the IPET path
 // analysis in the WCET tool. Problems in this repository are small (tens to
-// hundreds of variables), so a dense tableau with Bland's anti-cycling rule
-// is entirely adequate.
+// hundreds of variables). The tableau is one flat row-major slice, pivots
+// follow Bland's anti-cycling rule, and a Workspace lets a run of solves
+// reuse one buffer.
+//
+// A pivot is sparse: it scales the pivot row once, collects the columns
+// where the scaled row is non-zero, and updates the other rows and the
+// objective row only there. Knapsack tableaux are mostly bound rows
+// x_i <= 1 with two non-zeros each, so most pivots touch a few entries
+// instead of whole rows. The sparse update is exact: for a finite x,
+// x − f·0 = x, so every entry matches the full-row update bit for bit and
+// only the sign of a zero can differ. No comparison, ratio test or
+// extracted solution reads that sign, so every pivot choice, pivot count
+// and solution is the dense method's.
 package lp
 
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"repro/internal/obs"
 )
@@ -75,14 +87,19 @@ func (p *Problem) AddConstraint(coef []float64, rel Rel, rhs float64) {
 // Status reports the outcome of a solve.
 type Status int8
 
-// Solve outcomes.
+// Solve outcomes. IterationLimit means a simplex phase gave up after
+// maxIterations pivots: it says nothing about feasibility or boundedness,
+// so callers must treat it as a solver failure.
 const (
 	Optimal Status = iota
 	Infeasible
 	Unbounded
+	IterationLimit
 )
 
-func (s Status) String() string { return [...]string{"optimal", "infeasible", "unbounded"}[s] }
+func (s Status) String() string {
+	return [...]string{"optimal", "infeasible", "unbounded", "iteration limit"}[s]
+}
 
 // Solution is the result of solving a Problem.
 type Solution struct {
@@ -95,82 +112,121 @@ type Solution struct {
 
 const eps = 1e-9
 
-// tableau is the dense simplex tableau. Row 0..m-1 are constraints with the
-// RHS in the last column; the objective row is stored separately.
+// maxIterations caps the pivots of one simplex phase. With Bland's rule it
+// should never bind; if it does, the solve reports IterationLimit.
+const maxIterations = 50000
+
+// tableau is the simplex tableau. Rows 0..m-1 are constraints, stored
+// row-major in one flat slice, with the RHS kept apart; the objective row
+// is stored separately.
 type tableau struct {
-	m, n   int // constraint rows, total columns (excluding RHS)
-	nv     int // decision variables (columns 0..nv-1)
-	a      [][]float64
+	m, n   int       // constraint rows, total columns (excluding RHS)
+	nv     int       // decision variables (columns 0..nv-1)
+	a      []float64 // m rows of n entries
 	rhs    []float64
 	obj    []float64 // reduced-cost row (for maximisation)
 	objC   float64   // objective constant
 	basis  []int     // basic variable of each row
 	pivots int       // pivot operations performed on this tableau
+	// nzCol and nzVal are pivot's scratch space: the columns and values of
+	// the non-zero entries of the scaled pivot row.
+	nzCol []int
+	nzVal []float64
 }
 
-// clone deep-copies the tableau so a Prepared base can be re-solved many
-// times. The pivot counter restarts at zero: each re-solve reports only its
-// own phase-2 effort.
-func (t *tableau) clone() *tableau {
-	c := &tableau{
-		m: t.m, n: t.n, nv: t.nv,
-		a:     make([][]float64, t.m),
-		rhs:   append([]float64(nil), t.rhs...),
-		obj:   append([]float64(nil), t.obj...),
-		objC:  t.objC,
-		basis: append([]int(nil), t.basis...),
-	}
-	for i, row := range t.a {
-		c.a[i] = append([]float64(nil), row...)
-	}
-	return c
+// row returns constraint row i.
+func (t *tableau) row(i int) []float64 { return t.a[i*t.n : (i+1)*t.n] }
+
+// reset shapes t as an all-zero m×n tableau with a zero pivot count,
+// reusing its storage where it is large enough.
+func (t *tableau) reset(m, n, nv int) {
+	t.m, t.n, t.nv = m, n, nv
+	t.a = zeroed(t.a, m*n)
+	t.rhs = zeroed(t.rhs, m)
+	t.obj = zeroed(t.obj, n)
+	t.basis = zeroed(t.basis, m)
+	t.objC, t.pivots = 0, 0
 }
 
+// zeroed returns s resized to n zero entries. It grows s as append does,
+// so a run of ever larger tableaux (a deepening branch & bound search)
+// reallocates only a logarithmic number of times.
+func zeroed[T int | float64](s []T, n int) []T {
+	s = slices.Grow(s[:0], n)[:n]
+	clear(s)
+	return s
+}
+
+// copyFrom makes t a copy of src, reusing t's storage, so a Prepared base
+// can be re-solved many times. The pivot counter restarts at zero: each
+// re-solve reports only its own phase-2 effort.
+func (t *tableau) copyFrom(src *tableau) {
+	t.m, t.n, t.nv = src.m, src.n, src.nv
+	t.a = append(t.a[:0], src.a...)
+	t.rhs = append(t.rhs[:0], src.rhs...)
+	t.obj = append(t.obj[:0], src.obj...)
+	t.basis = append(t.basis[:0], src.basis...)
+	t.objC, t.pivots = src.objC, 0
+}
+
+// pivot makes col basic in row. It scales the pivot row once, collects the
+// columns where the scaled row is non-zero, and updates the other rows and
+// the objective row in those columns only. A skipped column would have
+// computed x − f·0 = x, so every entry equals the full-row update's up to
+// the sign of a zero, which nothing reads.
 func (t *tableau) pivot(row, col int) {
 	t.pivots++
-	p := t.a[row][col]
-	inv := 1 / p
-	for j := 0; j < t.n; j++ {
-		t.a[row][j] *= inv
+	pr := t.row(row)
+	inv := 1 / pr[col]
+	cols, vals := t.nzCol[:0], t.nzVal[:0]
+	for j, v := range pr {
+		if v == 0 {
+			continue
+		}
+		if j == col {
+			v = 1
+		} else {
+			v *= inv
+		}
+		pr[j] = v
+		if v != 0 {
+			cols = append(cols, j)
+			vals = append(vals, v)
+		}
 	}
+	t.nzCol, t.nzVal = cols, vals
 	t.rhs[row] *= inv
-	t.a[row][col] = 1
-	for i := 0; i < t.m; i++ {
-		if i == row {
+	b := t.rhs[row]
+	for i, at := 0, col; i < t.m; i, at = i+1, at+t.n {
+		f := t.a[at]
+		if f == 0 || i == row {
 			continue
 		}
-		f := t.a[i][col]
-		if f == 0 {
-			continue
+		r := t.row(i)
+		for k, j := range cols {
+			r[j] -= f * vals[k]
 		}
-		for j := 0; j < t.n; j++ {
-			t.a[i][j] -= f * t.a[row][j]
-		}
-		t.rhs[i] -= f * t.rhs[row]
-		t.a[i][col] = 0
+		t.rhs[i] -= f * b
+		r[col] = 0
 	}
-	f := t.obj[col]
-	if f != 0 {
-		for j := 0; j < t.n; j++ {
-			t.obj[j] -= f * t.a[row][j]
+	if f := t.obj[col]; f != 0 {
+		for k, j := range cols {
+			t.obj[j] -= f * vals[k]
 		}
-		t.objC -= f * t.rhs[row]
+		t.objC -= f * b
 		t.obj[col] = 0
 	}
 	t.basis[row] = col
 }
 
 // iterate runs primal simplex until optimality or unboundedness, using
-// Bland's rule (smallest index) to prevent cycling.
-func (t *tableau) iterate() Status {
+// Bland's rule (smallest index) to prevent cycling. It gives up with
+// IterationLimit rather than make a pivot beyond the limit-th.
+func (t *tableau) iterate(limit int) Status {
 	for iter := 0; ; iter++ {
-		if iter > 50000 {
-			// Defensive limit; with Bland's rule this should not trigger.
-			return Unbounded
-		}
 		col := -1
-		for j := 0; j < t.n; j++ {
-			if t.obj[j] > eps {
+		for j, v := range t.obj {
+			if v > eps {
 				col = j
 				break
 			}
@@ -181,8 +237,8 @@ func (t *tableau) iterate() Status {
 		row := -1
 		best := math.Inf(1)
 		for i := 0; i < t.m; i++ {
-			if t.a[i][col] > eps {
-				ratio := t.rhs[i] / t.a[i][col]
+			if v := t.a[i*t.n+col]; v > eps {
+				ratio := t.rhs[i] / v
 				if ratio < best-eps || (ratio < best+eps && (row < 0 || t.basis[i] < t.basis[row])) {
 					best = ratio
 					row = i
@@ -192,37 +248,47 @@ func (t *tableau) iterate() Status {
 		if row < 0 {
 			return Unbounded
 		}
+		if iter == limit {
+			return IterationLimit
+		}
 		t.pivot(row, col)
 	}
 }
 
+// Workspace holds the tableau storage of one solve at a time, so a caller
+// making a run of solves (the nodes of one branch & bound search) reuses
+// one buffer instead of allocating a tableau per solve. The zero value is
+// ready to use; a Workspace must not be shared between goroutines.
+type Workspace struct {
+	t tableau
+}
+
 // Solve solves the problem with the two-phase simplex method.
-func Solve(p *Problem) Solution {
+func Solve(p *Problem) Solution { return new(Workspace).Solve(p) }
+
+// Solve is the package-level Solve in w's storage.
+func (w *Workspace) Solve(p *Problem) Solution { return w.solve(p, maxIterations) }
+
+func (w *Workspace) solve(p *Problem, limit int) Solution {
 	mSolvesCold.Inc()
-	t, st := newTableau(p)
-	if st != Optimal {
+	t := &w.t
+	if st := t.load(p, limit); st != Optimal {
 		return Solution{Status: st}
 	}
-	sol := t.solveObjective(p.Objective)
+	sol := t.solveObjective(p.Objective, limit)
 	mPivotsCold.Add(uint64(t.pivots))
 	return sol
 }
 
-// newTableau builds the simplex tableau for p's constraints and runs
-// phase 1 (feasibility). The returned tableau depends only on p.NumVars and
+// load builds the simplex tableau for p's constraints in t's storage and
+// runs phase 1 (feasibility). The tableau depends only on p.NumVars and
 // p.Cons — never on p.Objective — so it can be re-solved under any
-// objective with solveObjective. A non-Optimal status means the constraints
-// are infeasible and the tableau is nil.
-func newTableau(p *Problem) (*tableau, Status) {
+// objective with solveObjective. A status other than Optimal means the
+// constraints are infeasible or phase 1 hit the iteration limit; the
+// tableau is then unusable.
+func (t *tableau) load(p *Problem, limit int) Status {
 	m := len(p.Cons)
 	nv := p.NumVars
-
-	coef := func(c Constraint, j int) float64 {
-		if j < len(c.Coef) {
-			return c.Coef[j]
-		}
-		return 0
-	}
 
 	// Count slack and artificial columns.
 	nSlack := 0
@@ -243,126 +309,121 @@ func newTableau(p *Problem) (*tableau, Status) {
 		}
 	}
 	n := nv + nSlack + nArt
-	t := &tableau{
-		m: m, n: n, nv: nv,
-		a:     make([][]float64, m),
-		rhs:   make([]float64, m),
-		obj:   make([]float64, n),
-		basis: make([]int, m),
-	}
-	artCols := make([]int, 0, nArt)
-	slackCur, artCur := nv, nv+nSlack
+	t.reset(m, n, nv)
+	// Artificial columns are the last nArt, from art0 on.
+	art0 := nv + nSlack
+	slackCur, artCur := nv, art0
 	for i, c := range p.Cons {
-		t.a[i] = make([]float64, n)
+		r := t.row(i)
 		sign := 1.0
 		rel := c.Rel
 		if c.RHS < 0 {
 			sign = -1
 			rel = flip(rel)
 		}
-		for j := 0; j < nv; j++ {
-			t.a[i][j] = sign * coef(c, j)
+		for j, v := range c.Coef[:min(len(c.Coef), nv)] {
+			r[j] = sign * v
 		}
 		t.rhs[i] = sign * c.RHS
 		switch rel {
 		case LE:
-			t.a[i][slackCur] = 1
+			r[slackCur] = 1
 			t.basis[i] = slackCur
 			slackCur++
 		case GE:
-			t.a[i][slackCur] = -1
+			r[slackCur] = -1
 			slackCur++
-			t.a[i][artCur] = 1
+			r[artCur] = 1
 			t.basis[i] = artCur
-			artCols = append(artCols, artCur)
 			artCur++
 		case EQ:
-			t.a[i][artCur] = 1
+			r[artCur] = 1
 			t.basis[i] = artCur
-			artCols = append(artCols, artCur)
 			artCur++
 		}
+	}
+	if nArt == 0 {
+		return Optimal
 	}
 
 	// Phase 1: maximise -(sum of artificials).
-	if len(artCols) > 0 {
-		isArt := make([]bool, n)
-		for _, j := range artCols {
-			isArt[j] = true
-			t.obj[j] = -1
+	for j := art0; j < n; j++ {
+		t.obj[j] = -1
+	}
+	// Price out the artificial basis (a zero entry would add nothing).
+	for i := 0; i < t.m; i++ {
+		if t.basis[i] < art0 {
+			continue
 		}
-		// Price out the artificial basis.
-		for i := 0; i < t.m; i++ {
-			if isArt[t.basis[i]] {
-				for j := 0; j < t.n; j++ {
-					t.obj[j] += t.a[i][j]
-				}
-				t.objC += t.rhs[i]
-				t.obj[t.basis[i]] = 0
+		for j, v := range t.row(i) {
+			if v != 0 {
+				t.obj[j] += v
 			}
 		}
-		if st := t.iterate(); st == Unbounded {
-			return nil, Infeasible
+		t.objC += t.rhs[i]
+		t.obj[t.basis[i]] = 0
+	}
+	switch t.iterate(limit) {
+	case IterationLimit:
+		return IterationLimit
+	case Unbounded: // phase 1 is bounded above by 0; kept as a guard
+		return Infeasible
+	}
+	// objC tracks the negated objective, so a positive residual means
+	// some artificial variable is still non-zero: infeasible.
+	if t.objC > 1e-6 {
+		return Infeasible
+	}
+	// Drive remaining artificials out of the basis where possible.
+	for i := 0; i < t.m; i++ {
+		if t.basis[i] < art0 {
+			continue
 		}
-		// objC tracks the negated objective, so a positive residual means
-		// some artificial variable is still non-zero: infeasible.
-		if t.objC > 1e-6 {
-			return nil, Infeasible
-		}
-		// Drive remaining artificials out of the basis where possible.
-		for i := 0; i < t.m; i++ {
-			if !isArt[t.basis[i]] {
-				continue
-			}
-			pivoted := false
-			for j := 0; j < nv+nSlack; j++ {
-				if math.Abs(t.a[i][j]) > eps {
-					t.pivot(i, j)
-					pivoted = true
-					break
-				}
-			}
-			if !pivoted && math.Abs(t.rhs[i]) > 1e-6 {
-				return nil, Infeasible
+		pivoted := false
+		for j, v := range t.row(i)[:art0] {
+			if math.Abs(v) > eps {
+				t.pivot(i, j)
+				pivoted = true
+				break
 			}
 		}
-		// Forbid artificials from re-entering: zero their columns.
-		for _, j := range artCols {
-			for i := 0; i < t.m; i++ {
-				t.a[i][j] = 0
-			}
+		if !pivoted && math.Abs(t.rhs[i]) > 1e-6 {
+			return Infeasible
 		}
 	}
-	return t, Optimal
+	// Forbid artificials from re-entering: zero their columns.
+	for i := 0; i < t.m; i++ {
+		clear(t.row(i)[art0:])
+	}
+	return Optimal
 }
 
 // solveObjective runs phase 2 of the simplex method on a phase-1-feasible
 // tableau under the given (maximisation) objective and extracts the
-// solution. It mutates the tableau, so warm-start callers must clone first.
-func (t *tableau) solveObjective(objective []float64) Solution {
+// solution. It mutates the tableau, so warm-start callers must copy first.
+func (t *tableau) solveObjective(objective []float64, limit int) Solution {
 	nv := t.nv
 	// Phase 2: the real objective.
-	for j := range t.obj {
-		t.obj[j] = 0
-	}
+	clear(t.obj)
 	t.objC = 0
-	for j := 0; j < nv && j < len(objective); j++ {
-		t.obj[j] = objective[j]
-	}
-	// Price out basic variables.
+	copy(t.obj[:nv], objective)
+	// Price out basic variables (a zero entry would subtract nothing).
 	for i := 0; i < t.m; i++ {
 		b := t.basis[i]
 		f := t.obj[b]
-		if f != 0 {
-			for j := 0; j < t.n; j++ {
-				t.obj[j] -= f * t.a[i][j]
-			}
-			t.objC -= f * t.rhs[i]
-			t.obj[b] = 0
+		if f == 0 {
+			continue
 		}
+		for j, v := range t.row(i) {
+			if v != 0 {
+				t.obj[j] -= f * v
+			}
+		}
+		t.objC -= f * t.rhs[i]
+		t.obj[b] = 0
 	}
-	if st := t.iterate(); st == Unbounded {
-		return Solution{Status: Unbounded}
+	if st := t.iterate(limit); st != Optimal {
+		return Solution{Status: st}
 	}
 
 	x := make([]float64, nv)
@@ -383,7 +444,7 @@ func (t *tableau) solveObjective(objective []float64) Solution {
 // IPET analysis warm-starts re-priced solves — the flow constraints of a
 // function never change across placements, only the cost row does.
 //
-// SolveObjective clones the base tableau and runs phase 2 from it, which by
+// SolveObjective copies the base tableau and runs phase 2 from it, which by
 // construction performs the exact pivot sequence a cold Solve would after
 // its own phase 1 — so results are bit-identical to Solve, just cheaper.
 type Prepared struct {
@@ -394,12 +455,12 @@ type Prepared struct {
 // Prepare runs phase 1 on p's constraints (the objective is ignored) and
 // captures the resulting tableau. The phase-1 pivots count as cold work.
 func Prepare(p *Problem) *Prepared {
-	t, st := newTableau(p)
-	if st != Optimal {
+	t := new(tableau)
+	if st := t.load(p, maxIterations); st != Optimal {
 		return &Prepared{status: st}
 	}
 	mPivotsCold.Add(uint64(t.pivots))
-	return &Prepared{base: t, status: st}
+	return &Prepared{base: t, status: Optimal}
 }
 
 // NumVars reports the decision-variable count of the prepared problem, or 0
@@ -415,12 +476,18 @@ func (pr *Prepared) NumVars() int {
 // constraints. The base tableau is never mutated after Prepare, so
 // concurrent calls on one Prepared are safe.
 func (pr *Prepared) SolveObjective(objective []float64) Solution {
+	return new(Workspace).SolveObjective(pr, objective)
+}
+
+// SolveObjective is pr.SolveObjective in w's storage.
+func (w *Workspace) SolveObjective(pr *Prepared, objective []float64) Solution {
 	mSolvesWarm.Inc()
 	if pr.status != Optimal {
 		return Solution{Status: pr.status}
 	}
-	t := pr.base.clone()
-	sol := t.solveObjective(objective)
+	t := &w.t
+	t.copyFrom(pr.base)
+	sol := t.solveObjective(objective, maxIterations)
 	mPivotsWarm.Add(uint64(t.pivots))
 	return sol
 }
@@ -433,16 +500,6 @@ func flip(r Rel) Rel {
 		return LE
 	}
 	return EQ
-}
-
-// Clone deep-copies the problem (used by the branch & bound search).
-func (p *Problem) Clone() *Problem {
-	q := &Problem{NumVars: p.NumVars, Objective: append([]float64(nil), p.Objective...)}
-	q.Cons = make([]Constraint, len(p.Cons))
-	for i, c := range p.Cons {
-		q.Cons[i] = Constraint{Coef: append([]float64(nil), c.Coef...), Rel: c.Rel, RHS: c.RHS}
-	}
-	return q
 }
 
 // String renders the problem for debugging.
