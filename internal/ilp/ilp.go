@@ -94,7 +94,7 @@ func SolveOpts(p *Problem, o Options) (Solution, error) {
 	// branching variable serve every node of this solve.
 	var ws lp.Workspace
 	relax := lp.Problem{NumVars: p.LP.NumVars, Objective: p.LP.Objective}
-	units := make([][]float64, relax.NumVars)
+	var units [][]float64
 	nodes := 0
 	mSolves.Inc()
 	defer func() { mNodes.Add(uint64(nodes)) }()
@@ -160,6 +160,9 @@ func SolveOpts(p *Problem, o Options) (Solution, error) {
 		}
 		v := rel.X[branch]
 		lo, hi := math.Floor(v), math.Ceil(v)
+		if units == nil {
+			units = make([][]float64, relax.NumVars)
+		}
 		if units[branch] == nil {
 			units[branch] = make([]float64, relax.NumVars)
 			units[branch][branch] = 1
