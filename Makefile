@@ -51,11 +51,14 @@ test-race:
 
 # Native fuzz targets, ~10 s each beyond their checked-in seed corpora
 # (testdata/fuzz): the all-capacity cache ladder against the reference
-# cache model, and the artifact store's entry parser and decoders against
-# arbitrary bytes. A failing input is written under testdata/fuzz.
+# cache model, the artifact store's entry parser and decoders against
+# arbitrary bytes, and the MiniC compiler against arbitrary source (no
+# panic, every error positioned). A failing input is written under
+# testdata/fuzz.
 fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzLadder$$' -fuzztime 10s ./internal/cache
 	$(GO) test -run '^$$' -fuzz '^FuzzDecode$$' -fuzztime 10s ./internal/store
+	$(GO) test -run '^$$' -fuzz '^FuzzCompile$$' -fuzztime 10s ./internal/cc
 
 bench:
 	$(GO) test -bench=. -benchmem ./...

@@ -58,7 +58,7 @@ func genFunc(s *semaInfo, fn *FuncDecl) (*obj.Object, error) {
 
 	o, err := g.b.Assemble()
 	if err != nil {
-		return nil, fmt.Errorf("cc: %s: %w", fn.Name, err)
+		return nil, &Error{Line: fn.Line, Msg: fmt.Sprintf("function %s: %v", fn.Name, err)}
 	}
 	return o, nil
 }
@@ -212,6 +212,7 @@ func (g *codegen) stmt(st Stmt) {
 		g.b.Jump(g.loops[len(g.loops)-1].cont)
 	case *Empty:
 	default:
+		// Invariant: the parser builds only the statement types above.
 		panic(fmt.Sprintf("cc: codegen: unknown statement %T", st))
 	}
 }
@@ -395,6 +396,7 @@ func (g *codegen) expr(e Expr) {
 		case "!":
 			g.materializeBool(n, false)
 		default:
+			// Invariant: the parser builds a Unary only for -, ~ and !.
 			panic("cc: unknown unary " + n.Op)
 		}
 	case *Binary:
@@ -410,6 +412,7 @@ func (g *codegen) expr(e Expr) {
 		g.expr(n.Else)
 		g.b.Bind(end)
 	default:
+		// Invariant: the parser builds only the expression types above.
 		panic(fmt.Sprintf("cc: codegen: unknown expression %T", e))
 	}
 }
@@ -513,6 +516,8 @@ func (g *codegen) binary(n *Binary) {
 		g.b.Move(0, 1)
 		g.b.Op(arm.Instr{Op: arm.OpAsrReg, Rd: 0, Rs: 2})
 	default:
+		// Invariant: binLevels and the compound assignments (assignOps
+		// less "=") name only the operators handled above.
 		panic("cc: unknown binary " + n.Op)
 	}
 }
@@ -580,6 +585,8 @@ func (g *codegen) assign(n *Assign) {
 		}
 		g.b.Move(0, 2) // assignment value is the expression's value
 	default:
+		// Invariant: the parser accepts only a VarRef or an Index on the
+		// left of an assignment.
 		panic("cc: unassignable target")
 	}
 }

@@ -68,13 +68,20 @@ func (t token) String() string {
 	}
 }
 
-// Error is a source-located compilation error.
+// Error is a source-located compilation error. Every error Compile reports
+// about its input is one. Col is 0 when only the line is known: the syntax
+// tree records lines, so semantic errors carry no column.
 type Error struct {
 	Line, Col int
 	Msg       string
 }
 
-func (e *Error) Error() string { return fmt.Sprintf("%d:%d: %s", e.Line, e.Col, e.Msg) }
+func (e *Error) Error() string {
+	if e.Col == 0 {
+		return fmt.Sprintf("%d: %s", e.Line, e.Msg)
+	}
+	return fmt.Sprintf("%d:%d: %s", e.Line, e.Col, e.Msg)
+}
 
 type lexer struct {
 	src  string

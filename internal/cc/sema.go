@@ -12,6 +12,12 @@ type semaInfo struct {
 	funcs   map[string]*FuncDecl
 }
 
+// errAt is a semantic error at a source line. The syntax tree records
+// lines only, so the column is left unknown.
+func errAt(line int, format string, args ...any) error {
+	return &Error{Line: line, Msg: fmt.Sprintf(format, args...)}
+}
+
 func analyse(f *File) (*semaInfo, error) {
 	s := &semaInfo{
 		file:    f,
@@ -20,20 +26,20 @@ func analyse(f *File) (*semaInfo, error) {
 	}
 	for _, g := range f.Globals {
 		if s.globals[g.Name] != nil {
-			return nil, fmt.Errorf("%d: global %q redefined", g.Line, g.Name)
+			return nil, errAt(g.Line, "global %q redefined", g.Name)
 		}
 		s.globals[g.Name] = g
 	}
 	for _, fn := range f.Funcs {
 		if s.funcs[fn.Name] != nil {
-			return nil, fmt.Errorf("%d: function %q redefined", fn.Line, fn.Name)
+			return nil, errAt(fn.Line, "function %q redefined", fn.Name)
 		}
 		if s.globals[fn.Name] != nil {
-			return nil, fmt.Errorf("%d: %q is both a global and a function", fn.Line, fn.Name)
+			return nil, errAt(fn.Line, "%q is both a global and a function", fn.Name)
 		}
 		if len(fn.Params) > MaxParams {
-			return nil, fmt.Errorf("%d: function %q has %d parameters; at most %d are supported",
-				fn.Line, fn.Name, len(fn.Params), MaxParams)
+			return nil, errAt(fn.Line, "function %q has %d parameters; at most %d are supported",
+				fn.Name, len(fn.Params), MaxParams)
 		}
 		s.funcs[fn.Name] = fn
 	}
@@ -69,7 +75,7 @@ func (fs *funcSema) popScope()  { fs.scopes = fs.scopes[:len(fs.scopes)-1] }
 func (fs *funcSema) declare(name string, line int) error {
 	top := fs.scopes[len(fs.scopes)-1]
 	if top[name] {
-		return fmt.Errorf("%d: %q redeclared in the same scope", line, name)
+		return errAt(line, "%q redeclared in the same scope", name)
 	}
 	top[name] = true
 	return nil
@@ -144,7 +150,7 @@ func (fs *funcSema) checkStmt(st Stmt, loopDepth int) error {
 	case *Return:
 		if n.Value != nil {
 			if fs.fn.RetVoid {
-				return fmt.Errorf("%d: void function %q returns a value", n.Line, fs.fn.Name)
+				return errAt(n.Line, "void function %q returns a value", fs.fn.Name)
 			}
 			return fs.checkExpr(n.Value)
 		}
@@ -152,11 +158,11 @@ func (fs *funcSema) checkStmt(st Stmt, loopDepth int) error {
 		return fs.checkExpr(n.X)
 	case *Break:
 		if loopDepth == 0 {
-			return fmt.Errorf("%d: break outside loop", n.Line)
+			return errAt(n.Line, "break outside loop")
 		}
 	case *Continue:
 		if loopDepth == 0 {
-			return fmt.Errorf("%d: continue outside loop", n.Line)
+			return errAt(n.Line, "continue outside loop")
 		}
 	case *Empty:
 	default:
@@ -174,31 +180,30 @@ func (fs *funcSema) checkExpr(e Expr) error {
 		}
 		g := fs.sema.globals[n.Name]
 		if g == nil {
-			return fmt.Errorf("%d: undefined variable %q", n.Line, n.Name)
+			return errAt(n.Line, "undefined variable %q", n.Name)
 		}
 		if g.Type.ArrayLen > 0 {
-			return fmt.Errorf("%d: array %q used without index (pointers are not supported)", n.Line, n.Name)
+			return errAt(n.Line, "array %q used without index (pointers are not supported)", n.Name)
 		}
 	case *Index:
 		if fs.isLocal(n.Name) {
-			return fmt.Errorf("%d: %q is scalar; cannot index", n.Line, n.Name)
+			return errAt(n.Line, "%q is scalar; cannot index", n.Name)
 		}
 		g := fs.sema.globals[n.Name]
 		if g == nil {
-			return fmt.Errorf("%d: undefined array %q", n.Line, n.Name)
+			return errAt(n.Line, "undefined array %q", n.Name)
 		}
 		if g.Type.ArrayLen == 0 {
-			return fmt.Errorf("%d: %q is not an array", n.Line, n.Name)
+			return errAt(n.Line, "%q is not an array", n.Name)
 		}
 		return fs.checkExpr(n.Idx)
 	case *Call:
 		callee := fs.sema.funcs[n.Name]
 		if callee == nil {
-			return fmt.Errorf("%d: call to undefined function %q", n.Line, n.Name)
+			return errAt(n.Line, "call to undefined function %q", n.Name)
 		}
 		if len(n.Args) != len(callee.Params) {
-			return fmt.Errorf("%d: %q called with %d arguments, wants %d",
-				n.Line, n.Name, len(n.Args), len(callee.Params))
+			return errAt(n.Line, "%q called with %d arguments, wants %d", n.Name, len(n.Args), len(callee.Params))
 		}
 		for _, a := range n.Args {
 			if err := fs.checkExpr(a); err != nil {
@@ -216,18 +221,18 @@ func (fs *funcSema) checkExpr(e Expr) error {
 		if vr, ok := n.Target.(*VarRef); ok && !fs.isLocal(vr.Name) {
 			g := fs.sema.globals[vr.Name]
 			if g != nil && g.Const {
-				return fmt.Errorf("%d: assignment to const global %q", n.Line, vr.Name)
+				return errAt(n.Line, "assignment to const global %q", vr.Name)
 			}
 		}
 		if ix, ok := n.Target.(*Index); ok {
 			g := fs.sema.globals[ix.Name]
 			if g != nil && g.Const {
-				return fmt.Errorf("%d: assignment to const array %q", n.Line, ix.Name)
+				return errAt(n.Line, "assignment to const array %q", ix.Name)
 			}
 			// Compound assignment evaluates the index twice (t op= v
 			// desugars to t = t op v).
 			if n.Op != "=" && exprHasSideEffects(ix.Idx) {
-				return fmt.Errorf("%d: compound assignment to %q with a side-effecting index", n.Line, ix.Name)
+				return errAt(n.Line, "compound assignment to %q with a side-effecting index", ix.Name)
 			}
 		}
 		if err := fs.checkExpr(n.Target); err != nil {
